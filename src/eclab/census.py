@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import divisors, factorize, is_prime, prime_factors
-from .curves import BadReductionError, TraceRecord, WeierstrassCurve, trace_record
+from .curves import (
+    BadReductionError,
+    TraceRecord,
+    WeierstrassCurve,
+    _reduce_unchecked,
+    _trace_reduced,
+)
 from .gl2 import class_density
 from .primes import DEFAULT_SEGMENT, iter_prime_segments
 from .pseudoprimes import fermat_holds, multiplicative_order, pomerance_scale
@@ -66,7 +72,8 @@ def _census_chunk(task):
     skipped = []
     for p in primes:
         try:
-            rec = trace_record(curve, p)
+            # sieve primes need no primality check
+            rec = _trace_reduced(_reduce_unchecked(curve, p))
         except BadReductionError:
             skipped.append(p)
             continue

@@ -72,6 +72,21 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_census_parser(subs, name: str, help_text: str, pomerance: bool) -> None:
+    """The census and pomerance subcommands share every argument."""
+    p = subs.add_parser(name, help=help_text)
+    _add_curve_args(p)
+    p.add_argument("--x", type=int, required=True, help="census cutoff (primes p <= x)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="number of worker processes (default $ECLAB_THREADS, else the CPU count)",
+    )
+    _add_common_args(p)
+    p.set_defaults(func=_cmd_census, pomerance=pomerance)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eclab",
@@ -80,25 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("census", help="count points at all p <= x and classify")
-    _add_curve_args(p)
-    p.add_argument("--x", type=int, required=True, help="census cutoff (primes p <= x)")
-    p.add_argument(
-        "--threads", type=int, default=None, help="worker processes (default $ECLAB_THREADS or 1)"
+    _add_census_parser(
+        subs, "census", "count points at all p <= x and classify", pomerance=False
     )
-    _add_common_args(p)
-    p.set_defaults(func=_cmd_census, pomerance=False)
-
-    p = subs.add_parser(
-        "pomerance", help="census plus the pseudoprime decomposition report"
+    _add_census_parser(
+        subs, "pomerance", "census plus the pseudoprime decomposition report", pomerance=True
     )
-    _add_curve_args(p)
-    p.add_argument("--x", type=int, required=True, help="census cutoff (primes p <= x)")
-    p.add_argument(
-        "--threads", type=int, default=None, help="worker processes (default $ECLAB_THREADS or 1)"
-    )
-    _add_common_args(p)
-    p.set_defaults(func=_cmd_census, pomerance=True)
 
     p = subs.add_parser(
         "verify-classes",

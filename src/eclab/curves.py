@@ -1,9 +1,13 @@
 """Elliptic curves over Q, reductions mod p, and group-order computation.
 
-Point counting dispatches on the prime: full enumeration for p in {2, 3},
-a quadratic-character sum for p < 4096, and baby-step/giant-step order
-finding inside the Hasse window for everything larger. A separate
-exhaustive-enumeration oracle (naive_count) provides an independent check.
+Point counting takes one path per prime: full enumeration for p in {2, 3}
+(no short Weierstrass model exists there) and baby-step/giant-step order
+finding inside the Hasse window for every p >= 5. The baby table is keyed
+on x alone, so one entry x(jP) stands for both jP and -jP and one giant
+step covers 2m + 1 multiples. When random points leave the order
+ambiguous, the quadratic twist decides it; an exact character sum is the
+last resort. A separate exhaustive-enumeration oracle (naive_count)
+provides an independent check.
 """
 from __future__ import annotations
 
@@ -13,8 +17,6 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import is_prime
-
-SMALL_PRIME_CUTOFF = 4096
 
 
 class SingularCurveError(ValueError):
@@ -87,6 +89,11 @@ class TraceRecord(NamedTuple):
 def reduce_mod(curve: WeierstrassCurve, p: int) -> ReducedCurve:
     if not is_prime(p):
         raise ValueError(f"reduction requires a prime, got {p}")
+    return _reduce_unchecked(curve, p)
+
+
+def _reduce_unchecked(curve: WeierstrassCurve, p: int) -> ReducedCurve:
+    """reduce_mod for a p the caller already knows to be prime (a sieve prime)."""
     return ReducedCurve(
         p,
         curve.a1 % p,
@@ -102,8 +109,8 @@ def count_points(rc: ReducedCurve) -> int:
     """|E(F_p)| including the point at infinity. Pure function of the input."""
     if not rc.good:
         raise BadReductionError(f"bad reduction at {rc.p}")
-    if rc.p < SMALL_PRIME_CUTOFF:
-        return _count_character_sum(rc)
+    if rc.p <= 3:
+        return _count_enumeration(rc)
     return _count_bsgs(rc)
 
 
@@ -127,7 +134,11 @@ def naive_count(rc: ReducedCurve) -> int:
 
 
 def trace_record(curve: WeierstrassCurve, p: int) -> TraceRecord:
-    rc = reduce_mod(curve, p)
+    return _trace_reduced(reduce_mod(curve, p))
+
+
+def _trace_reduced(rc: ReducedCurve) -> TraceRecord:
+    p = rc.p
     n = count_points(rc)
     a = p + 1 - n
     if a * a > 4 * p:
@@ -144,24 +155,6 @@ def _count_enumeration(rc: ReducedCurve) -> int:
         for y in range(p):
             if (y * y + rc.a1 * x * y + rc.a3 * y) % p == rhs:
                 n += 1
-    return n
-
-
-def _count_character_sum(rc: ReducedCurve) -> int:
-    """p + 1 + sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), chi by Euler's criterion."""
-    p = rc.p
-    if p <= 3:
-        return _count_enumeration(rc)
-    b2, b4, b6, _ = _b_invariants(rc.a1, rc.a2, rc.a3, rc.a4, rc.a6)
-    b2 %= p
-    db4 = 2 * b4 % p
-    b6 %= p
-    e = (p - 1) // 2
-    n = p + 1
-    for x in range(p):
-        f = (((4 * x + b2) % p * x + db4) % p * x + b6) % p
-        if f:
-            n += 1 if pow(f, e, p) == 1 else -1
     return n
 
 
@@ -293,51 +286,44 @@ def _point_multiples_in_window(
     These are exactly the multiples of the point order in the window, so the
     list is never empty (the group order is one of them) and consecutive
     entries differ by the point order.
+
+    The baby table holds x(jP) for j = 1..m. A giant c*P with the same x is
+    +-jP: equal y gives (c - j)P = O, opposite y gives (c + j)P = O, and
+    y = 0 gives both. Giants c = lo + m + i(2m + 1) therefore cover the
+    window in blocks [c - m, c + m].
     """
-    width = hi - lo
-    m = isqrt(width) + 1
-
-    jac = []
-    acc = (x1, y1, 1)
+    m = isqrt((hi - lo) // 2) + 1
+    jac = [(x1, y1, 1)]
     for _ in range(1, m):
-        jac.append(acc)
-        acc = _jadd_mixed(p, a, acc, x1, y1)
-    m_point = acc  # m * P
-    baby = _batch_affine(p, jac)
-    table: dict[tuple[int, int], list[int]] = {}
-    zero_js = [0]
-    for j, pt in enumerate(baby, start=1):
+        jac.append(_jadd_mixed(p, a, jac[-1], x1, y1))
+    stride = _jadd_mixed(p, a, _jdbl(p, a, jac[-1]), x1, y1)  # (2m + 1) * P
+    *baby, stride_aff = _batch_affine(p, jac + [stride])
+    if None in baby or stride_aff is None:
+        # the point order is the first j <= m with jP = O, else 2m + 1
+        o = baby.index(None) + 1 if None in baby else 2 * m + 1
+        return list(range((lo + o - 1) // o * o, hi + 1, o))
+    table: dict[int, list[tuple[int, int]]] = {}
+    for j, (bx, by) in enumerate(baby, start=1):
+        table.setdefault(bx, []).append((j, by))
+
+    c0 = lo + m
+    giants = [_jmul(p, a, c0, x1, y1)]
+    for _ in range((hi - lo) // (2 * m + 1)):
+        giants.append(_jadd_mixed(p, a, giants[-1], *stride_aff))
+
+    found = []
+    for i, pt in enumerate(_batch_affine(p, giants)):
+        c = c0 + i * (2 * m + 1)
         if pt is None:
-            zero_js.append(j)
-        else:
-            table.setdefault(pt, []).append(j)
-
-    m_aff = _batch_affine(p, [m_point])[0]
-    if m_aff is None:
-        # point order divides m; read it off the baby table directly
-        o = zero_js[1] if len(zero_js) > 1 else m
-        first = ((lo + o - 1) // o) * o
-        return list(range(first, hi + 1, o))
-
-    lo_point = _jmul(p, a, lo, x1, y1)
-    s_jac = (lo_point[0], -lo_point[1] % p, lo_point[2])  # -(lo * P)
-    neg_mx, neg_my = m_aff[0], (-m_aff[1]) % p
-
-    giants = []
-    g = s_jac
-    for _ in range(width // m + 1):
-        giants.append(g)
-        g = _jadd_mixed(p, a, g, neg_mx, neg_my)
-    giant = _batch_affine(p, giants)
-
-    matches = set()
-    for i, pt in enumerate(giant):
-        base = i * m
-        js = zero_js if pt is None else table.get(pt, ())
-        for j in js:
-            if base + j <= width:
-                matches.add(base + j)
-    return sorted(lo + a_off for a_off in matches)
+            found.append(c)
+            continue
+        gx, gy = pt
+        for j, by in table.get(gx, ()):
+            if by == gy:
+                found.append(c - j)
+            if by == (p - gy) % p:
+                found.append(c + j)
+    return sorted(n for n in found if lo <= n <= hi)
 
 
 def _order_search(p: int, a: int, b: int, attempts: int) -> int | None:
@@ -380,7 +366,7 @@ def _group_order_short(p: int, a: int, b: int) -> int:
     n_tw = _order_search(p, a * d % p * d % p, b * d % p * d % p * d % p, attempts=10)
     if n_tw is not None:
         return 2 * p + 2 - n_tw
-    # unreachable in practice for p >= 5; exact but slow safety net
+    # exact but slow safety net; on the builtin curves only reached at p <= 29
     return _order_character_sum(p, a, b)
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import factorize
 from .primes import primes_up_to
 from .pseudoprimes import fermat_holds
 
@@ -120,32 +121,27 @@ def preset_params(x: float, mode: str) -> SieveParams:
     return SieveParams(y, max(y, z), y, z, preset=mode)
 
 
-def _sifting_primes(y: float, z: float) -> list[int]:
+def _sifted_test(y: float, z: float):
+    """Predicate on n: some prime factor of n lies in [y, z) (empty when y = z).
+
+    Factoring n touches only its own few prime factors, where trial division
+    by every sifting prime would scan all of them.
+    """
     if y > z:
         raise ValueError("need y <= z")
-    return [p for p in primes_up_to(max(0, math.ceil(z) - 1)) if p >= y]
+    return lambda n: any(y <= q < z for q in factorize(n))
 
 
 def empirical_S(records, y: float, z: float) -> int:
     """|{records : n has no prime factor in [y, z)}| (y = z counts everything)."""
-    sift = _sifting_primes(y, z)
-    count = 0
-    for rec in records:
-        n = rec.n
-        if all(n % p for p in sift):
-            count += 1
-    return count
+    sifted = _sifted_test(y, z)
+    return sum(1 for rec in records if not sifted(rec.n))
 
 
 def empirical_T(records, b: int, y: float, z: float, strict: bool = False) -> int:
     """|{records : n has a prime factor in [y, z) yet passes the Fermat test}|."""
-    sift = _sifting_primes(y, z)
-    count = 0
-    for rec in records:
-        n = rec.n
-        if any(n % p == 0 for p in sift) and fermat_holds(b, n, strict):
-            count += 1
-    return count
+    sifted = _sifted_test(y, z)
+    return sum(1 for rec in records if sifted(rec.n) and fermat_holds(b, rec.n, strict))
 
 
 @dataclass(frozen=True)
@@ -195,9 +191,15 @@ def build_sieve_report(
     survives sifting by the primes in [y, z); T counts sifted-out records that
     still pass the test. Q <= S + T holds by case split on each record.
     """
-    emp_s = empirical_S(records, y, z)
-    emp_t = empirical_T(records, base, y, z, strict)
-    emp_q = sum(1 for rec in records if fermat_holds(base, rec.n, strict))
+    sifted = _sifted_test(y, z)
+    emp_s = emp_t = emp_q = 0
+    for rec in records:
+        fermat = fermat_holds(base, rec.n, strict)
+        if sifted(rec.n):
+            emp_t += fermat
+        else:
+            emp_s += 1
+        emp_q += fermat
     env_u = count_envelope(x, "unconditional")
     env_g = count_envelope(x, "grh")
     meta = {

@@ -1,4 +1,5 @@
 """End-to-end command line checks: exit codes, artifacts, stdout formats."""
+import hashlib
 import json
 
 import pytest
@@ -52,6 +53,27 @@ def test_census_deterministic_output_bytes(tmp_path, capsys):
     assert run(capsys, "census", "--x", "200", "--out", str(b), "--threads", "2")[0] == 0
     assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+# sha256 of the pomerance artifacts for 37a at x = 20000. Any change to these
+# bytes must be a deliberate, documented fix.
+GOLDEN_POMERANCE_37A_2E4 = {
+    "records.csv": "65e19d618c01ce5471886e3393d93bafeb2092570820f833941a7e80bececc75",
+    "summary.json": "19e64fc87e688f68ba1736ee4cc480d4c272f2a92fb77e1c0a58b1c344831eaf",
+}
+
+
+def test_pomerance_output_bytes_are_golden(tmp_path, capsys):
+    code, _, _ = run(
+        capsys, "pomerance", "--curve", "37a", "--x", "20000", "--threads", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_POMERANCE_37A_2E4
+    }
+    assert digests == GOLDEN_POMERANCE_37A_2E4
 
 
 def test_pomerance_csv_meta_rows(tmp_path, capsys):

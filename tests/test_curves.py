@@ -1,13 +1,19 @@
 """Point counting against exhaustive oracles, reductions, and the registry."""
+from math import isqrt
+
 import pytest
 
+from eclab import curves
 from eclab.curves import (
     BadReductionError,
     ReducedCurve,
     SingularCurveError,
     WeierstrassCurve,
     _count_bsgs,
+    _jmul,
+    _point_multiples_in_window,
     _short_model,
+    _sqrt_mod,
     builtin_curves,
     count_points,
     discriminant,
@@ -102,6 +108,80 @@ def test_bsgs_matches_naive_below_and_above_cutoff():
         rc = reduce_mod(curve, p)
         if rc.good:
             assert _count_bsgs(rc) == naive_count(rc), p
+
+
+def test_count_points_matches_naive_on_every_builtin_prime_below_4096():
+    pairs = 0
+    for curve in builtin_curves().values():
+        for p in primes_up_to(4095):
+            rc = reduce_mod(curve, p)
+            if rc.good:
+                assert count_points(rc) == naive_count(rc), (curve.label, p)
+                pairs += 1
+    assert pairs == 2816
+
+
+def _spy(monkeypatch, name):
+    """Replace curves.<name> by a wrapper that records each result."""
+    calls = []
+    real = getattr(curves, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(curves, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("label,p", [("32a", 5), ("389a", 11)])
+def test_character_sum_fallback_is_taken(monkeypatch, label, p):
+    rc = reduce_mod(get_curve(label), p)
+    searches = _spy(monkeypatch, "_order_search")
+    fallback = _spy(monkeypatch, "_order_character_sum")
+    n = count_points(rc)
+    assert searches == [None, None]  # the curve and its twist both stay ambiguous
+    assert fallback == [n]
+    assert n == naive_count(rc)
+
+
+def test_twist_branch_decides_11a_at_5(monkeypatch):
+    p = 5
+    rc = reduce_mod(get_curve("11a"), p)
+    searches = _spy(monkeypatch, "_order_search")
+    fallback = _spy(monkeypatch, "_order_character_sum")
+    n = count_points(rc)
+    assert len(searches) == 2 and searches[0] is None
+    assert n == 2 * p + 2 - searches[1]
+    assert fallback == []
+    assert n == naive_count(rc)
+
+
+def test_point_multiples_in_window_is_exact():
+    """Every point of each short model (one y per x) against a brute-force scan."""
+    seen = set()
+    for label, p in (("37a", 5), ("37a", 31), ("37a", 83), ("11a", 61), ("32a", 97), ("389a", 131)):
+        a, b = _short_model(reduce_mod(get_curve(label), p))
+        half = isqrt(4 * p)
+        lo, hi = p + 1 - half, p + 1 + half
+        m = isqrt((hi - lo) // 2) + 1
+        for x in range(p):
+            t = (x * x * x + a * x + b) % p
+            if t and pow(t, (p - 1) // 2, p) != 1:
+                continue
+            y = _sqrt_mod(p, t)
+            expected = [N for N in range(lo, hi + 1) if _jmul(p, a, N, x, y)[2] == 0]
+            got = _point_multiples_in_window(p, a, x, y, lo, hi)
+            assert got == expected, (label, p, x, y)
+            order = next(k for k in range(1, hi + 1) if _jmul(p, a, k, x, y)[2] == 0)
+            if y == 0:
+                seen.add("y = 0")
+            if order <= m:
+                seen.add("order <= m")
+            if order == 2 * m + 1:
+                seen.add("order = 2m + 1")
+    assert seen == {"y = 0", "order <= m", "order = 2m + 1"}
 
 
 def test_short_model_preserves_group_order():

@@ -177,6 +177,10 @@ def test_empirical_counts_hand_records():
     assert empirical_T([r15, r341], 2, 5, 5) == 0
     with pytest.raises(ValueError):
         empirical_S([r15], 7, 3)
+    # n = 1 has no prime factor, so it always survives
+    r1 = TraceRecord(2, 2, 1)
+    assert empirical_S([r1], 2, 100) == 1
+    assert empirical_T([r1], 2, 2, 100) == 0
 
 
 def test_empirical_S_against_trial_division():
@@ -194,6 +198,12 @@ def test_build_sieve_report():
         records, base=2, x=2000.0, y=5, z=50, pi_x=303, extra_meta={"tag": 1}
     )
     assert report.empirical_Q <= report.empirical_S + report.empirical_T
+    # 5 | 15, 11 | 341 and 5 | 5 are all sifted out; 341 and 5 pass 2^n = 2
+    assert report.empirical_S == empirical_S(records, 5, 50) == 0
+    assert report.empirical_T == empirical_T(records, 2, 5, 50) == 2
+    assert report.empirical_Q == 2
+    with pytest.raises(ValueError):
+        build_sieve_report(records, base=2, x=2000.0, y=50, z=5, pi_x=303)
     assert report.V_y_z == density_product(5, 50)
     assert report.F_s == linear_sieve_F(2.0)
     assert report.envelope_uncond == count_envelope(2000.0, "unconditional")
