@@ -70,6 +70,7 @@ from .primes import (
 from .pseudoprimes import (
     NoCrtSolutionError,
     OrderLevelReport,
+    OrderStats,
     PseudoprimeVerdict,
     classify,
     count_by_order,
@@ -79,6 +80,7 @@ from .pseudoprimes import (
     nord_bound,
     order_census,
     order_level_report,
+    order_stats,
     pomerance_scale,
     product_tail_sum,
     pseudoprimes_below,

@@ -130,8 +130,13 @@ def euler_phi(n: int) -> int:
 
 def carmichael_lambda(n: int) -> int:
     """Exponent of (Z/n)^*: lcm of the unit-group exponents at each prime power."""
+    return lambda_from_factors(factorize(n))
+
+
+def lambda_from_factors(factors: dict[int, int]) -> int:
+    """Carmichael's lambda of the integer with this {prime: exponent} map."""
     lam = 1
-    for p, e in factorize(n).items():
+    for p, e in factors.items():
         if p == 2:
             part = 1 if e == 1 else 2 if e == 2 else 2 ** (e - 2)
         else:

@@ -27,7 +27,7 @@ from .curves import (
 )
 from .gl2 import class_density
 from .primes import DEFAULT_SEGMENT, iter_prime_segments
-from .pseudoprimes import fermat_holds, multiplicative_order, pomerance_scale
+from .pseudoprimes import fermat_holds, pomerance_scale, prime_order
 
 FERMAT_BIT = 1
 PRIME_BIT = 2
@@ -183,7 +183,7 @@ def _classify_pseudoprime(n: int, x: int, base: int, L: float) -> frozenset:
         labels.add("s1")
     cube = L**3
     free_primes = [ell for ell in factorize(n) if base % ell != 0]
-    orders = {ell: multiplicative_order(base, ell) for ell in free_primes}
+    orders = {ell: prime_order(base, ell) for ell in free_primes}
     if any(orders[ell] <= L for ell in free_primes if ell > cube):
         labels.add("s2")
     if any(orders[ell] > L for ell in free_primes):

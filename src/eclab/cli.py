@@ -25,10 +25,13 @@ from .gl2 import (
     gl2_order,
     predicted_class_count,
 )
-from .pseudoprimes import (
+# order_stats replaces the order_census, tail_sum and product_tail_sum calls;
+# those names stay importable here because perfbench/traced_cli.py wraps them.
+from .pseudoprimes import (  # noqa: F401
     nord_bound,
     order_census,
     order_level_report,
+    order_stats,
     product_tail_sum,
     tail_sum,
 )
@@ -117,7 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         "order-stats", help="multiplicative order statistics of a Fermat base"
     )
     p.add_argument("--base", type=int, default=2, help="Fermat base (default 2)")
-    p.add_argument("--t", type=int, default=10_000, help="prime cutoff (default 10000)")
+    p.add_argument(
+        "--t",
+        type=int,
+        default=10_000,
+        help="prime cutoff (default 10000); flagged levels scan only the "
+        "moduli d <= min(t, 10000)",
+    )
     p.add_argument(
         "--cap", type=int, default=100_000, help="tail-sum cutoff (default 100000)"
     )
@@ -293,7 +302,8 @@ def _cmd_order_stats(args) -> int:
     if args.t < 2 or args.cap < args.t:
         raise UsageError("need 2 <= t <= cap")
     out = _ensure_out(args.out)
-    levels = order_census(args.base, args.t)
+    stats = order_stats(args.base, args.t, args.cap)
+    levels = stats.census
     rows = []
     violations = []
     for m, count in levels.items():
@@ -306,10 +316,7 @@ def _cmd_order_stats(args) -> int:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ORDERS_HEADER + "\n")
         fh.write("\n".join(rows) + ("\n" if rows else ""))
-    tails = {
-        "tail_sum": tail_sum(args.base, args.t, args.cap),
-        "product_tail_sum": product_tail_sum(args.base, args.t, args.cap),
-    }
+    tails = {"tail_sum": stats.tail_sum, "product_tail_sum": stats.product_tail_sum}
     report = order_level_report(args.base, min(args.t, 10_000))
     if args.format == "json":
         print(

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .arith import carmichael_lambda, factorize, is_prime
+from .arith import carmichael_lambda, factorize, is_prime, lambda_from_factors
 from .primes import primes_up_to
 
 log = logging.getLogger(__name__)
@@ -73,8 +75,22 @@ def multiplicative_order(b: int, d: int) -> int:
         lam = carmichael_lambda(d)
     except ArithmeticError:
         return _order_scan(b, d)
+    return _order_dividing(b, d, lam, factorize(lam))
+
+
+def prime_order(b: int, ell: int) -> int:
+    """ord_ell(b) for a prime ell not dividing b.
+
+    lambda(ell) = ell - 1, so only ell - 1 is factored; ell itself is not
+    re-proved prime (the caller already knows it is).
+    """
+    return _order_dividing(b, ell, ell - 1, factorize(ell - 1))
+
+
+def _order_dividing(b: int, d: int, lam: int, primes: Iterable[int]) -> int:
+    """Order of b mod d, given a multiple lam of it and the primes of lam."""
     m = lam
-    for q in factorize(lam):
+    for q in primes:
         while m % q == 0 and pow(b, m // q, d) == 1:
             m //= q
     return m
@@ -101,24 +117,64 @@ def crt_residue(b: int, d: int) -> int:
     return r if r else d * o
 
 
-def iter_prime_orders(b: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+def smallest_prime_factors(limit: int) -> array:
+    """Smallest-prime-factor table over 0..limit: entry n is the smallest
+    prime factor of a composite n, and 0 for primes, 0 and 1.
+
+    Every stored value is at most isqrt(limit), so two-byte items hold it
+    for every limit below 2^32.
+    """
+    if not 0 <= limit < 1 << 32:
+        raise ValueError(f"SPF table limit must be in [0, 2^32), got {limit}")
+    spf = array("H", bytes(2 * (limit + 1)))
+    # Largest prime first, so each composite ends up holding its smallest.
+    for p in reversed(primes_up_to(math.isqrt(limit))):
+        start = p * p
+        spf[start::p] = array("H", [p]) * len(range(start, limit + 1, p))
+    return spf
+
+
+def _factor_with(n: int, spf: array) -> dict[int, int]:
+    """{prime: exponent} of 1 <= n < len(spf), ascending, read off the table."""
+    out: dict[int, int] = {}
+    while n > 1:
+        q = spf[n] or n
+        out[q] = out.get(q, 0) + 1
+        n //= q
+    return out
+
+
+def iter_prime_orders(b: int, lo: float, hi: int) -> Iterator[tuple[int, int]]:
     """(ell, ord_ell(b)) over primes ell in [lo, hi]; primes dividing b are
-    skipped and logged."""
-    for ell in primes_up_to(hi):
-        if ell < lo:
+    skipped and logged.
+
+    One SPF table up to hi finds the primes and factors every ell - 1; an
+    empty range builds none.
+    """
+    lo = max(math.ceil(lo), 2)
+    if hi < lo:
+        return
+    spf = smallest_prime_factors(hi)
+    for ell in range(lo, hi + 1):
+        if spf[ell]:
             continue
         if b % ell == 0:
             log.debug("skipping prime %d (divides base %d)", ell, b)
             continue
-        yield ell, multiplicative_order(b, ell)
+        yield ell, _order_dividing(b, ell, ell - 1, _factor_with(ell - 1, spf))
+
+
+def _count_orders(orders: Iterable[int]) -> dict[int, int]:
+    return dict(sorted(Counter(orders).items()))
+
+
+def _inverse_sum(pairs: Iterable[tuple[int, int]]) -> float:
+    return math.fsum(1.0 / (ell * m) for ell, m in pairs)
 
 
 def order_census(b: int, t: int) -> dict[int, int]:
     """How many primes ell <= t (coprime to b) have each order m = ord_ell(b)."""
-    out: dict[int, int] = {}
-    for _, m in iter_prime_orders(b, 2, t):
-        out[m] = out.get(m, 0) + 1
-    return dict(sorted(out.items()))
+    return _count_orders(m for _, m in iter_prime_orders(b, 2, t))
 
 
 def nord_bound(b: int, m: int) -> float:
@@ -129,16 +185,38 @@ def nord_bound(b: int, m: int) -> float:
 
 def tail_sum(b: int, t: float, cap: int) -> float:
     """sum 1/(ell * ord_ell(b)) over primes t <= ell <= cap coprime to b."""
-    lo = max(2, math.ceil(t))
-    return math.fsum(
-        1.0 / (ell * m) for ell, m in iter_prime_orders(b, lo, cap)
-    )
+    return _inverse_sum(iter_prime_orders(b, t, cap))
 
 
 def product_tail_sum(b: int, t: float, cap: int) -> float:
     """sum 1/(ell * ord_ell(b)) over primes ell <= cap with ell*ord_ell(b) >= t."""
-    return math.fsum(
-        1.0 / (ell * m) for ell, m in iter_prime_orders(b, 2, cap) if ell * m >= t
+    return _inverse_sum(
+        (ell, m) for ell, m in iter_prime_orders(b, 2, cap) if ell * m >= t
+    )
+
+
+@dataclass(frozen=True)
+class OrderStats:
+    """The prime-order figures `order-stats` reports, from one pass."""
+
+    census: dict[int, int]  # order_census(b, t)
+    tail_sum: float  # tail_sum(b, t, cap)
+    product_tail_sum: float  # product_tail_sum(b, t, cap)
+
+
+def order_stats(b: int, t: int, cap: int) -> OrderStats:
+    """order_census(b, t), tail_sum(b, t, cap) and product_tail_sum(b, t, cap)
+    from one pass over the primes up to cap, kept as two compact columns."""
+    if cap < t:
+        raise ValueError(f"need t <= cap, got t={t} cap={cap}")
+    ells, orders = array("I"), array("I")
+    for ell, m in iter_prime_orders(b, 2, cap):
+        ells.append(ell)
+        orders.append(m)
+    return OrderStats(
+        _count_orders(m for ell, m in zip(ells, orders) if ell <= t),
+        _inverse_sum((ell, m) for ell, m in zip(ells, orders) if ell >= t),
+        _inverse_sum((ell, m) for ell, m in zip(ells, orders) if ell * m >= t),
     )
 
 
@@ -151,13 +229,21 @@ def pomerance_scale(x: float) -> float:
     return math.exp(lx * math.log(llx) / llx)
 
 
+def _iter_modulus_orders(b: int, t: int) -> Iterator[int]:
+    """ord_d(b) for every 2 <= d <= t coprime to b; d and lambda(d) are
+    factored from one SPF table up to t."""
+    if t < 2:
+        return
+    spf = smallest_prime_factors(t)
+    for d in range(2, t + 1):
+        if math.gcd(b, d) == 1:
+            lam = lambda_from_factors(_factor_with(d, spf))
+            yield _order_dividing(b, d, lam, _factor_with(lam, spf))
+
+
 def count_by_order(b: int, t: int, m: int) -> int:
     """|{2 <= d <= t : gcd(d, b) = 1 and ord_d(b) = m}| by exact scan."""
-    count = 0
-    for d in range(2, t + 1):
-        if math.gcd(b, d) == 1 and multiplicative_order(b, d) == m:
-            count += 1
-    return count
+    return sum(1 for o in _iter_modulus_orders(b, t) if o == m)
 
 
 @dataclass(frozen=True)
@@ -174,14 +260,10 @@ class OrderLevelReport:
 
 
 def order_level_report(b: int, t: int) -> OrderLevelReport:
-    levels: dict[int, int] = {}
-    for d in range(2, t + 1):
-        if math.gcd(b, d) == 1:
-            m = multiplicative_order(b, d)
-            levels[m] = levels.get(m, 0) + 1
+    levels = _count_orders(_iter_modulus_orders(b, t))
     threshold = t / math.sqrt(pomerance_scale(t))
-    flagged = {m: c for m, c in sorted(levels.items()) if c > threshold}
-    return OrderLevelReport(t, b, threshold, dict(sorted(levels.items())), flagged)
+    flagged = {m: c for m, c in levels.items() if c > threshold}
+    return OrderLevelReport(t, b, threshold, levels, flagged)
 
 
 def pseudoprimes_below(b: int, limit: int) -> list[int]:
@@ -191,8 +273,4 @@ def pseudoprimes_below(b: int, limit: int) -> list[int]:
 
 def tail_sum_exact(b: int, t: float, cap: int) -> Fraction:
     """Exact rational tail sum, e.g. tail_sum_exact(2, 3, 7) = 1/6 + 1/20 + 1/21."""
-    lo = max(2, math.ceil(t))
-    total = Fraction(0)
-    for ell, m in iter_prime_orders(b, lo, cap):
-        total += Fraction(1, ell * m)
-    return total
+    return sum((Fraction(1, ell * m) for ell, m in iter_prime_orders(b, t, cap)), Fraction(0))

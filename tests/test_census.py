@@ -191,6 +191,19 @@ def test_decomposition_against_scan_oracle():
     assert d["s4_split"] == {"smooth_heavy": 0, "rest": 2, "window_hit": 0}
 
 
+def test_decomposition_reads_orders_not_lambda():
+    # ord_73(2) = 9 and ord_616318177(2) = 37 lie below L = 67.3 while ell - 1
+    # does not, and 616318177 > L^3 puts 2^37 - 1 = 223 * 616318177 in s2
+    ns = [5 * 73, 2**37 - 1]
+    x = 10**5
+    decomp = decompose_pseudoprimes(pseudo_result(ns, x))
+    for n in ns:
+        labels = {name for name, members in decomp.members.items() if n in members}
+        assert labels == labels_oracle(n, x, 2, decomp.L), n
+    assert decomp.members["s2"] == (2**37 - 1,)
+    assert decomp.members["s3"] == ()
+
+
 def test_decomposition_smooth_and_window_branches():
     # x = 3^17 puts the divisor window at (3^(17/18), 3], so a power of 3
     # registers a hit; 2^18 exceeds x^(2/3) and lands in the smooth-heavy bin

@@ -148,6 +148,43 @@ def test_order_stats(tmp_path, capsys):
     assert "bound_ok,1" in stdout.splitlines()
 
 
+# sha256 of orders.csv and stdout for order-stats --t 2000 --cap 50000,
+# recorded before the order layer moved onto the SPF table.
+GOLDEN_ORDER_STATS = {
+    (2, "csv"): (
+        "fa03c5771e852dabd6e61a99218988bf71ba86ac9f4ea15ec77437634ade72ac",
+        "d2feae690a84e72babe42f8cf8c312623cb5dc74d2fdb691048e474e4d2bbd77",
+    ),
+    (2, "json"): (
+        "fa03c5771e852dabd6e61a99218988bf71ba86ac9f4ea15ec77437634ade72ac",
+        "7d93919384e035a9d8101128259fbea5d4aee08506fb51e50800f1001c5ecff9",
+    ),
+    (6, "csv"): (
+        "aab188317c5c0aa3c710264a2ba33b6879e2fb5ed3965a4d6262ff8e284166f8",
+        "e4dbf5b0ddc1f2b67e3b2137c6077387e4b75613c60eefbd4500d0b37b63d88d",
+    ),
+    (6, "json"): (
+        "aab188317c5c0aa3c710264a2ba33b6879e2fb5ed3965a4d6262ff8e284166f8",
+        "10553aed3c46d4f2a1867d005b752695ef10b38992f7dbd666dfad048090e73a",
+    ),
+}
+
+
+@pytest.mark.parametrize("base, fmt", sorted(GOLDEN_ORDER_STATS))
+def test_order_stats_output_bytes_are_golden(tmp_path, capsys, base, fmt):
+    code, stdout, _ = run(
+        capsys,
+        "order-stats", "--base", str(base), "--t", "2000", "--cap", "50000",
+        "--format", fmt, "--out", str(tmp_path),
+    )
+    assert code == 0
+    digests = (
+        hashlib.sha256((tmp_path / "orders.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(stdout.encode()).hexdigest(),
+    )
+    assert digests == GOLDEN_ORDER_STATS[base, fmt]
+
+
 def test_order_stats_json(tmp_path, capsys):
     code, stdout, _ = run(
         capsys,

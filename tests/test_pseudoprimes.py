@@ -1,9 +1,11 @@
 """Fermat classification, orders, CRT residues, and tail sums vs scan oracles."""
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import eclab.pseudoprimes as pseudoprimes
 from eclab.arith import factorize
 from eclab.pseudoprimes import (
     NoCrtSolutionError,
@@ -16,9 +18,12 @@ from eclab.pseudoprimes import (
     nord_bound,
     order_census,
     order_level_report,
+    order_stats,
     pomerance_scale,
+    prime_order,
     product_tail_sum,
     pseudoprimes_below,
+    smallest_prime_factors,
     tail_sum,
     tail_sum_exact,
 )
@@ -246,3 +251,96 @@ def test_order_level_report():
     for m, c in report.flagged.items():
         assert c > report.threshold
         assert report.levels[m] == c
+
+
+def smallest_factor_by_trial(n: int) -> int:
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+def test_smallest_prime_factors_table():
+    spf = smallest_prime_factors(10_000)
+    assert spf.itemsize == 2 and len(spf) == 10_001
+    assert spf[0] == spf[1] == 0
+    for n in range(2, 10_001):
+        q = smallest_factor_by_trial(n)
+        assert spf[n] == (0 if q == n else q), n
+    assert list(smallest_prime_factors(0)) == [0]
+    assert list(smallest_prime_factors(4)) == [0, 0, 0, 0, 2]
+    for bad in (-1, 1 << 32):
+        with pytest.raises(ValueError):
+            smallest_prime_factors(bad)
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 6, 10])
+def test_iter_prime_orders_matches_scan_on_every_prime(b):
+    want = [
+        (ell, order_by_scan(b, ell))
+        for ell in range(2, 5001)
+        if trial_division_prime(ell) and b % ell
+    ]
+    assert list(iter_prime_orders(b, 2, 5000)) == want
+    assert [(ell, prime_order(b, ell)) for ell, _ in want] == want
+
+
+@pytest.mark.parametrize("b", [2, 3, 6, 10])
+def test_modulus_scans_match_per_modulus_orders(b):
+    want = Counter(
+        multiplicative_order(b, d) for d in range(2, 3001) if math.gcd(b, d) == 1
+    )
+    assert order_level_report(b, 3000).levels == dict(sorted(want.items()))
+    for m in (1, 2, 4, 12, 100, max(want)):
+        assert count_by_order(b, 3000, m) == want[m], m
+
+
+def test_prime_order_edges():
+    assert [list(iter_prime_orders(2, 2, hi)) for hi in (0, 1, 2, 3)] == [
+        [], [], [], [(3, 2)]
+    ]
+    assert [list(iter_prime_orders(3, 2, hi)) for hi in (0, 1, 2, 3)] == [
+        [], [], [(2, 1)], [(2, 1)]
+    ]
+    assert list(iter_prime_orders(3, 3, 3)) == []
+    assert list(iter_prime_orders(2, -5, 5)) == [(3, 2), (5, 4)]
+    assert list(iter_prime_orders(2, 2.5, 7)) == [(3, 2), (5, 4), (7, 3)]
+
+
+def test_empty_ranges_build_no_table(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"table built for limit {limit}")
+
+    monkeypatch.setattr(pseudoprimes, "smallest_prime_factors", refuse)
+    assert list(iter_prime_orders(2, 8, 7)) == []
+    assert list(iter_prime_orders(2, 2, 1)) == []
+    assert tail_sum(2, 8, 7) == 0.0
+    assert tail_sum_exact(2, 8, 7) == 0
+    assert product_tail_sum(2, 1, 1) == 0.0
+    assert order_census(2, 1) == {}
+    assert count_by_order(2, 1, 1) == 0
+    assert order_level_report(2, 1).levels == {}
+
+
+@pytest.mark.parametrize("b", [2, 3, 6])
+def test_tail_sum_within_rounding_of_exact(b):
+    # each term 1/(ell*m) is rounded once (relative error <= 2^-53, all terms
+    # positive) and fsum rounds once more, so the float is within 2^-52 of
+    # the exact sum; it is not always the exact sum rounded (b = 6, t = 3).
+    for t, cap in ((3, 7), (10, 2000), (100, 5000)):
+        exact = tail_sum_exact(b, t, cap)
+        assert abs(Fraction(tail_sum(b, t, cap)) - exact) <= exact / 2**52, (t, cap)
+
+
+@pytest.mark.parametrize("b", [2, 6])
+def test_order_stats_is_the_three_scans(b):
+    # t = 101 is a prime and t = 6 = 3 * ord_3(2): each comparison's edge counts
+    for t, cap in ((2, 2), (2, 3), (6, 50), (100, 100), (101, 3000), (2000, 5000)):
+        stats = order_stats(b, t, cap)
+        assert stats.census == order_census(b, t)
+        assert stats.tail_sum == tail_sum(b, t, cap)
+        assert stats.product_tail_sum == product_tail_sum(b, t, cap)
+    with pytest.raises(ValueError):
+        order_stats(2, 100, 99)
