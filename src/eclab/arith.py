@@ -3,25 +3,15 @@ from __future__ import annotations
 
 import math
 
+from .primes import primes_up_to
+
 # Deterministic Miller-Rabin witness set, valid for every n below this limit
 # (covers the full 64-bit range with a wide margin).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-_SMALL_PRIMES: tuple[int, ...] = ()
-
-
-def _small_primes() -> tuple[int, ...]:
-    global _SMALL_PRIMES
-    if not _SMALL_PRIMES:
-        limit = 1000
-        mask = bytearray([1]) * (limit + 1)
-        mask[0] = mask[1] = 0
-        for i in range(2, math.isqrt(limit) + 1):
-            if mask[i]:
-                mask[i * i :: i] = bytearray(len(mask[i * i :: i]))
-        _SMALL_PRIMES = tuple(i for i, m in enumerate(mask) if m)
-    return _SMALL_PRIMES
+# Trial divisors tried before Pollard rho.
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
 
 
 def is_prime(n: int) -> bool:
@@ -89,7 +79,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:

@@ -14,6 +14,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import isqrt
 
@@ -115,18 +116,12 @@ def run_census(
     records: list[TraceRecord] = []
     verdicts = bytearray()
     skipped: list[int] = []
-    if workers == 1:
-        chunks = map(_census_chunk, tasks)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        chunks = pool.map(_census_chunk, tasks) if pool else map(_census_chunk, tasks)
         for recs, bits, skip in chunks:
             records.extend(recs)
             verdicts.extend(bits)
             skipped.extend(skip)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for recs, bits, skip in pool.map(_census_chunk, tasks):
-                records.extend(recs)
-                verdicts.extend(bits)
-                skipped.extend(skip)
     return CensusResult(curve, x, base, strict, records, verdicts, skipped)
 
 

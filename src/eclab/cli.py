@@ -381,19 +381,8 @@ def _cmd_sieve_report(args) -> int:
             "raw_z": params.raw_z,
         }
     result = run_census(curve, args.x, base=args.base, strict=args.strict_fermat)
-    pi_x = len(result.records) + len(result.skipped_bad)
     preset_meta["curve"] = curve.label
-    report = build_sieve_report(
-        result.records,
-        args.base,
-        float(args.x),
-        y,
-        z,
-        pi_x,
-        s=args.s,
-        strict=args.strict_fermat,
-        extra_meta=preset_meta,
-    )
+    report = build_sieve_report(result, y, z, s=args.s, extra_meta=preset_meta)
     path = os.path.join(out, "sieve.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.to_dict(), fh, indent=2)

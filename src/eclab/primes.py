@@ -1,12 +1,15 @@
-"""Prime generation: one-shot and segmented sieves of Eratosthenes.
+"""Prime generation: one segmented sieve of Eratosthenes.
 
-Both sieves store odd numbers only. The segmented iterator keeps memory at
-O(segment length + sqrt(cutoff)) so censuses can stream far past what a
-one-shot sieve would hold.
+`_segment_primes` is the only sieve: it marks the odd numbers of one
+segment [lo, hi) with the odd primes up to sqrt(hi). `primes_up_to` runs it
+on the single segment [0, x+1); `iter_prime_segments` streams it over fixed
+segments, keeping memory at O(segment length + sqrt(cutoff)) so censuses
+can run far past what a one-shot list would hold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
@@ -33,20 +36,12 @@ def _check_cutoff(x: int) -> None:
 def primes_up_to(x: int) -> list[int]:
     """All primes <= x, ascending."""
     _check_cutoff(x)
-    if x < 2:
-        return []
-    if x < 3:
-        return [2]
-    # index i represents the odd number 2i+1
-    size = (x + 1) // 2
-    mask = bytearray([1]) * size
-    mask[0] = 0
-    for i in range(1, (isqrt(x) + 1) // 2 + 1):
-        if mask[i]:
-            p = 2 * i + 1
-            start = (p * p) // 2
-            mask[start::p] = bytearray(len(range(start, size, p)))
-    return [2] + [2 * i + 1 for i in range(1, size) if mask[i]]
+    return _segment_primes(0, x + 1, _odd_base_primes(x))
+
+
+def _odd_base_primes(x: int) -> list[int]:
+    """The odd primes <= sqrt(x), enough to sieve any segment of [0, x+1)."""
+    return primes_up_to(isqrt(x))[1:] if x >= 9 else []
 
 
 def _segment_primes(lo: int, hi: int, odd_base: list[int]) -> list[int]:
@@ -69,7 +64,7 @@ def _segment_primes(lo: int, hi: int, odd_base: list[int]) -> list[int]:
             continue
         idx = (start - first) // 2
         mask[idx::p] = bytearray(len(range(idx, size, p)))
-    out.extend(first + 2 * i for i in range(size) if mask[i])
+    out.extend(compress(range(first, hi, 2), mask))
     return out
 
 
@@ -85,7 +80,7 @@ def iter_prime_segments(
     _check_cutoff(x)
     if segment_len < 2:
         raise ValueError("segment_len must be at least 2")
-    odd_base = [p for p in primes_up_to(isqrt(x)) if p > 2] if x >= 9 else []
+    odd_base = _odd_base_primes(x)
     for lo in range(0, x + 1, segment_len):
         hi = min(lo + segment_len, x + 1)
         yield PrimeSegment(lo, hi, tuple(_segment_primes(lo, hi, odd_base)))

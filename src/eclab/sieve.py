@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize
+from .census import FERMAT_BIT, CensusResult
 from .primes import primes_up_to
 from .pseudoprimes import fermat_holds
 
@@ -175,38 +176,37 @@ class SieveReport:
 
 
 def build_sieve_report(
-    records,
-    base: int,
-    x: float,
+    result: CensusResult,
     y: float,
     z: float,
-    pi_x: int,
     s: float = 2.0,
-    strict: bool = False,
     extra_meta: dict | None = None,
 ) -> SieveReport:
-    """Assemble the densities, envelopes, and empirical S/T/Q counts.
+    """Assemble the densities, envelopes, and empirical S/T/Q counts of a census.
 
-    Q counts every record passing the Fermat test; S counts records whose n
-    survives sifting by the primes in [y, z); T counts sifted-out records that
-    still pass the test. Q <= S + T holds by case split on each record.
+    Q counts every record whose verdict has FERMAT_BIT; S counts records
+    whose n survives sifting by the primes in [y, z); T counts sifted-out
+    records that still pass. x, pi(x), the base and the Fermat mode are the
+    census's own. Q <= S + T holds by case split on each record.
     """
     sifted = _sifted_test(y, z)
     emp_s = emp_t = emp_q = 0
-    for rec in records:
-        fermat = fermat_holds(base, rec.n, strict)
+    for rec, v in zip(result.records, result.verdicts):
+        fermat = 1 if v & FERMAT_BIT else 0
         if sifted(rec.n):
             emp_t += fermat
         else:
             emp_s += 1
         emp_q += fermat
+    x = float(result.x)
+    pi_x = len(result.records) + len(result.skipped_bad)
     env_u = count_envelope(x, "unconditional")
     env_g = count_envelope(x, "grh")
     meta = {
         "s": s,
         "pi_x": pi_x,
-        "base": base,
-        "strict_fermat": strict,
+        "base": result.base,
+        "strict_fermat": result.strict,
         "envelope_uncond_vacuous": env_u > pi_x,
         "envelope_grh_vacuous": env_g > pi_x,
     }

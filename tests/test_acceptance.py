@@ -143,12 +143,9 @@ def test_criterion_7_sieve_identities(census_1e5, census_1e6):
         assert 0.95 <= mertens_ratio(10**5) <= 1.05
         for timed in (census_1e5, census_1e6):
             result = timed.result
-            pi_x = len(result.records) + len(result.skipped_bad)
             for mode in ("unconditional", "grh"):
                 params = preset_params(float(result.x), mode)
-                report = build_sieve_report(
-                    result.records, 2, float(result.x), params.y, params.z, pi_x
-                )
+                report = build_sieve_report(result, params.y, params.z)
                 assert report.empirical_Q <= report.empirical_S + report.empirical_T
 
 
@@ -167,14 +164,11 @@ def test_criterion_8_order_statistics():
 def test_criterion_9_headline_bounds_vacuous(census_1e5, census_1e6):
     with criterion(9, "headline envelopes are vacuous at desk scale and flagged as such"):
         for timed in (census_1e5, census_1e6):
-            result = timed.result
-            pi_x = len(result.records) + len(result.skipped_bad)
+            x = float(timed.result.x)
+            params = preset_params(x, "unconditional")
+            report = build_sieve_report(timed.result, params.y, params.z)
             for mode in ("unconditional", "grh"):
-                assert count_envelope(float(result.x), mode) > pi_x
-            params = preset_params(float(result.x), "unconditional")
-            report = build_sieve_report(
-                result.records, 2, float(result.x), params.y, params.z, pi_x
-            )
+                assert count_envelope(x, mode) > report.meta["pi_x"]
             assert report.meta["envelope_uncond_vacuous"] is True
             assert report.meta["envelope_grh_vacuous"] is True
 

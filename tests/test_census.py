@@ -26,6 +26,7 @@ from eclab.census import (
 )
 from eclab.curves import TraceRecord, get_curve
 from eclab.gl2 import class_density
+from eclab.primes import DEFAULT_SEGMENT
 from eclab.pseudoprimes import pomerance_scale
 
 
@@ -118,11 +119,14 @@ def test_worker_count(monkeypatch):
 
 
 def test_census_deterministic_across_workers():
-    one = run_census(CURVE, 500, threads=1)
-    two = run_census(CURVE, 500, threads=2)
-    assert one.records == two.records
-    assert bytes(one.verdicts) == bytes(two.verdicts)
-    assert one.skipped_bad == two.skipped_bad
+    # x = 3000 in segments of 256 is 12 chunks, so the pool joins the
+    # chunks of both workers; x = 500 fits in one default segment.
+    for x, segment_len in ((500, DEFAULT_SEGMENT), (3000, 256)):
+        one = run_census(CURVE, x, threads=1, segment_len=segment_len)
+        two = run_census(CURVE, x, threads=2, segment_len=segment_len)
+        assert one.records == two.records
+        assert bytes(one.verdicts) == bytes(two.verdicts)
+        assert one.skipped_bad == two.skipped_bad
 
 
 def order_scan(b, d):

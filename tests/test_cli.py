@@ -232,6 +232,51 @@ def test_sieve_report_preset(tmp_path, capsys):
     assert report["empirical_Q"] <= report["empirical_S"] + report["empirical_T"]
 
 
+# sha256 of sieve.json and stdout for sieve-report, recorded before the
+# report became a view of the census verdicts. Cases: (argv, ECLAB_THREADS).
+GOLDEN_SIEVE_REPORT = {
+    "k2-csv": (
+        ("--curve", "k2", "--x", "30000", "--y", "5", "--z", "300"), "2",
+        "d37b051f6fc79b52e8001affb13db11a4a744a431e87c0808d7f0401529af774",
+        "c82f8cfaf38bdd4363a526489af7288d28924badc4bc6d4d2a704e5c7e476e31",
+    ),
+    "k2-json": (
+        ("--curve", "k2", "--x", "30000", "--y", "5", "--z", "300", "--format", "json"), "2",
+        "d37b051f6fc79b52e8001affb13db11a4a744a431e87c0808d7f0401529af774",
+        "d37b051f6fc79b52e8001affb13db11a4a744a431e87c0808d7f0401529af774",
+    ),
+    "37a-grh": (
+        ("--curve", "37a", "--x", "20000", "--preset", "grh"), "1",
+        "86c6f30c4df9c7688f85268d59ad95d661ca8f135ad1d7630989fe1ee2413916",
+        "8254559bde8b3db61383123292641854720afd065fda640a06032d7e273adf15",
+    ),
+    "37a-base5-strict": (
+        ("--curve", "37a", "--x", "20000", "--y", "5", "--z", "300",
+         "--base", "5", "--strict-fermat"), "1",
+        "449c34b543a1e8e149b6404da2d004795bf7cd1a007ef64a5650bfab2683c5a4",
+        "bd26980866a8dffda2b992a8c33252f212c90dbb5294a74b229b3d130eaec40d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SIEVE_REPORT))
+def test_sieve_report_output_bytes_are_golden(tmp_path, capsys, monkeypatch, case):
+    argv, threads, json_digest, stdout_digest = GOLDEN_SIEVE_REPORT[case]
+    monkeypatch.setenv("ECLAB_THREADS", threads)
+    if "k2" in argv:
+        curves = tmp_path / "curves.txt"
+        curves.write_text("k2:0,0,0,0,2,cm=1\n")  # y^2 = x^3 + 2
+        argv += ("--curve-file", str(curves))
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, "sieve-report", *argv, "--out", str(out))
+    assert code == 0
+    digests = (
+        hashlib.sha256((out / "sieve.json").read_bytes()).hexdigest(),
+        hashlib.sha256(stdout.encode()).hexdigest(),
+    )
+    assert digests == (json_digest, stdout_digest)
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path)
     cases = [

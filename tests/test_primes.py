@@ -1,4 +1,4 @@
-"""Sieve correctness: one-shot vs segmented vs an independent boolean sieve."""
+"""Sieve correctness: primes_up_to and the segments against an independent boolean sieve."""
 import pytest
 
 from eclab.primes import (
@@ -24,7 +24,11 @@ def boolean_sieve(x: int) -> list[int]:
     return [i for i in range(x + 1) if flags[i]]
 
 
-@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 10, 97, 100, 1000, 65537])
+# 8..169 straddle the squares of the base primes 3, 5, 7, 11 and 13; the
+# base list is empty below 9.
+@pytest.mark.parametrize(
+    "x", [0, 1, 2, 3, 4, 8, 9, 10, 24, 25, 48, 49, 97, 100, 120, 121, 168, 169, 1000, 65537]
+)
 def test_primes_up_to_matches_boolean_sieve(x):
     assert primes_up_to(x) == boolean_sieve(x)
 
@@ -49,7 +53,7 @@ def test_segments_concatenate_to_one_shot(x, segment_len):
         assert seg.lo < seg.hi <= x + 1
         assert all(seg.lo <= p < seg.hi for p in seg.primes)
         collected.extend(seg.primes)
-    assert collected == primes_up_to(x)
+    assert collected == boolean_sieve(x)
 
 
 def test_segment_example_thirty_by_ten():
@@ -66,7 +70,7 @@ def test_large_segmented_run_matches_one_shot():
     collected = []
     for seg in iter_prime_segments(10**6, 2**15):
         collected.extend(seg.primes)
-    assert collected == primes_up_to(10**6)
+    assert collected == boolean_sieve(10**6)
 
 
 def test_segment_content_is_pure_function_of_bounds():

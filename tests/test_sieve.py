@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import eclab.sieve
+from eclab.census import FERMAT_BIT, PRIME_BIT, PSEUDO_BIT, CensusResult, run_census
 from eclab.curves import TraceRecord, get_curve
-from eclab.census import run_census
 from eclab.primes import primes_up_to
+from eclab.pseudoprimes import fermat_holds
 from eclab.sieve import (
     EULER_GAMMA,
     EXP_EULER_GAMMA,
@@ -192,24 +194,43 @@ def test_empirical_S_against_trial_division():
     assert passing <= empirical_S(records, 5, 50) + empirical_T(records, 2, 5, 50)
 
 
+def _hand_census():
+    """A CensusResult at base 3, strict Fermat, with one bad prime.
+
+    Verdicts: 5 and 53 pass 3^(n-1) = 1 and are prime; 91 = 7 * 13 is a
+    3-pseudoprime; 15 and 341 fail. Only 53 survives sifting by [5, 50).
+    """
+    records = [
+        TraceRecord(13, -1, 15),
+        TraceRecord(331, -9, 341),
+        TraceRecord(2, -2, 5),
+        TraceRecord(89, -1, 91),
+        TraceRecord(53, 1, 53),
+    ]
+    prime, pseudo = FERMAT_BIT | PRIME_BIT, FERMAT_BIT | PSEUDO_BIT
+    verdicts = bytearray([0, 0, prime, pseudo, prime])
+    return CensusResult(get_curve("37a"), 2000, 3, True, records, verdicts, [37])
+
+
 def test_build_sieve_report():
-    records = [TraceRecord(13, -1, 15), TraceRecord(331, -9, 341), TraceRecord(2, -2, 5)]
-    report = build_sieve_report(
-        records, base=2, x=2000.0, y=5, z=50, pi_x=303, extra_meta={"tag": 1}
-    )
+    result = _hand_census()
+    report = build_sieve_report(result, y=5, z=50, extra_meta={"tag": 1})
     assert report.empirical_Q <= report.empirical_S + report.empirical_T
-    # 5 | 15, 11 | 341 and 5 | 5 are all sifted out; 341 and 5 pass 2^n = 2
-    assert report.empirical_S == empirical_S(records, 5, 50) == 0
-    assert report.empirical_T == empirical_T(records, 2, 5, 50) == 2
-    assert report.empirical_Q == 2
+    assert report.empirical_S == empirical_S(result.records, 5, 50) == 1
+    assert report.empirical_T == empirical_T(result.records, 3, 5, 50, strict=True) == 2
+    assert report.empirical_Q == 3
+    assert report.x == 2000.0
+    assert report.meta["pi_x"] == 6  # five good records and the bad prime 37
+    assert report.meta["base"] == 3
+    assert report.meta["strict_fermat"] is True
     with pytest.raises(ValueError):
-        build_sieve_report(records, base=2, x=2000.0, y=50, z=5, pi_x=303)
+        build_sieve_report(result, y=50, z=5)
     assert report.V_y_z == density_product(5, 50)
     assert report.F_s == linear_sieve_F(2.0)
     assert report.envelope_uncond == count_envelope(2000.0, "unconditional")
     assert report.meta["envelope_uncond_vacuous"] is True
     assert report.meta["envelope_grh_vacuous"] is True
-    assert report.meta["tag"] == 1 and report.meta["base"] == 2
+    assert report.meta["tag"] == 1
     assert list(report.to_dict()) == [
         "x",
         "y",
@@ -223,3 +244,18 @@ def test_build_sieve_report():
         "empirical_Q",
         "meta",
     ]
+
+
+def test_build_sieve_report_reads_census_verdicts(monkeypatch):
+    result = run_census(get_curve("37a"), 3000, threads=1)
+    records = result.records
+    S, T = empirical_S(records, 5, 300), empirical_T(records, 2, 5, 300)
+    Q = sum(1 for rec in records if fermat_holds(2, rec.n))
+    assert S and T and Q
+
+    def no_fermat(*args):
+        raise AssertionError("build_sieve_report re-ran the Fermat test")
+
+    monkeypatch.setattr(eclab.sieve, "fermat_holds", no_fermat)
+    report = build_sieve_report(result, 5, 300)
+    assert (report.empirical_S, report.empirical_T, report.empirical_Q) == (S, T, Q)
