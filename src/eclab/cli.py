@@ -1,6 +1,9 @@
 """Command line front end.
 
 Subcommands: census, pomerance, verify-classes, order-stats, sieve-report.
+Each validates its input, writes its artifacts and returns a `Report`;
+`main` alone prints it: the report on stdout, then on stderr the written
+paths and one line per violated invariant.
 Exit codes: 0 success, 1 violated invariant (a mathematical identity the
 run must satisfy), 2 usage error, 3 I/O error.
 """
@@ -10,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from .census import (
     decompose_pseudoprimes,
@@ -45,8 +49,18 @@ class UsageError(Exception):
     """Bad arguments detected after argparse (unknown label, y >= z, ...)."""
 
 
-class InvariantError(Exception):
-    """A mathematical identity the run is required to satisfy failed."""
+@dataclass(frozen=True)
+class Report:
+    """One subcommand's outcome, printed by `main`.
+
+    payload is the --format json object, pairs the --format csv rows, wrote
+    the artifact paths, failures the violated invariants (exit code 1).
+    """
+
+    payload: dict
+    pairs: list
+    wrote: list
+    failures: list
 
 
 def _add_curve_args(sub: argparse.ArgumentParser) -> None:
@@ -168,9 +182,15 @@ def _print_kv(pairs) -> None:
         print(f"{k},{v}")
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+def _out_path(args, name: str) -> str:
+    """Create --out if needed (before any counting) and return name's path in it."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _census_invariant_failures(summary) -> list[str]:
@@ -191,60 +211,47 @@ def _census_invariant_failures(summary) -> list[str]:
     return failures
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> Report:
     if args.x < 2:
         raise UsageError(f"--x must be at least 2, got {args.x}")
     curve = _load_curve(args)
-    out = _ensure_out(args.out)
+    paths = [_out_path(args, "records.csv"), _out_path(args, "summary.json")]
     result = run_census(
         curve, args.x, base=args.base, strict=args.strict_fermat, threads=args.threads
     )
-    extra = None
-    decomposition = decompose_pseudoprimes(result)
+    dec = decompose_pseudoprimes(result)
+    extra = {"pomerance": dec.to_dict()} if args.pomerance else None
+    summary = summarize(result, dec, extra_meta=extra)
+    write_records_csv(result, paths[0])
+    write_summary_json(summary, paths[1])
+    pairs = [
+        ("curve", summary.curve_label),
+        ("base", summary.base_b),
+        ("x", summary.x),
+        ("good_count", summary.meta["good_count"]),
+        ("bad_count", len(summary.skipped_bad)),
+        ("twin", summary.twin),
+        ("pseu", summary.pseu),
+        ("Q", summary.Q),
+        ("unit_count", summary.unit_count),
+        ("second_moment", summary.second_moment),
+        *summary.s_classes.items(),
+    ]
     if args.pomerance:
-        extra = {"pomerance": decomposition.to_dict()}
-    summary = summarize(result, decomposition, extra_meta=extra)
-    write_records_csv(result, os.path.join(out, "records.csv"))
-    write_summary_json(summary, os.path.join(out, "summary.json"))
-    if args.format == "json":
-        print(json.dumps(summary.to_dict(), indent=2))
-    else:
-        pairs = [
-            ("curve", summary.curve_label),
-            ("base", summary.base_b),
-            ("x", summary.x),
-            ("good_count", summary.meta["good_count"]),
-            ("bad_count", len(summary.skipped_bad)),
-            ("twin", summary.twin),
-            ("pseu", summary.pseu),
-            ("Q", summary.Q),
-            ("unit_count", summary.unit_count),
-            ("second_moment", summary.second_moment),
-        ]
-        pairs.extend(summary.s_classes.items())
-        if args.pomerance:
-            dec = decomposition
-            pairs.append(("L", dec.L))
-            pairs.append(("L_clamped", int(dec.L == 1.0)))
-            for i, row in enumerate(dec.overlap):
-                pairs.append((f"overlap_s{i + 1}", " ".join(map(str, row))))
-            pairs.append(("s4_smooth_heavy", dec.s4_smooth_heavy))
-            pairs.append(("s4_rest", dec.s4_rest))
-            pairs.append(("s4_window_hit", dec.s4_window_hit))
-        _print_kv(pairs)
-    print(f"wrote {out}/records.csv {out}/summary.json", file=sys.stderr)
-    failures = _census_invariant_failures(summary)
-    if failures:
-        for msg in failures:
-            print(f"invariant violated: {msg}", file=sys.stderr)
-        return 1
-    return 0
+        pairs.append(("L", dec.L))
+        pairs.append(("L_clamped", int(dec.L == 1.0)))
+        for i, row in enumerate(dec.overlap):
+            pairs.append((f"overlap_s{i + 1}", " ".join(map(str, row))))
+        pairs.append(("s4_smooth_heavy", dec.s4_smooth_heavy))
+        pairs.append(("s4_rest", dec.s4_rest))
+        pairs.append(("s4_window_hit", dec.s4_window_hit))
+    return Report(summary.to_dict(), pairs, paths, _census_invariant_failures(summary))
 
 
-def _cmd_verify_classes(args) -> int:
+def _cmd_verify_classes(args) -> Report:
     if not 2 <= args.cap <= ENUMERATION_CAP:
         raise UsageError(f"--cap must be in [2, {ENUMERATION_CAP}], got {args.cap}")
-    out = _ensure_out(args.out)
+    path = _out_path(args, "classes.csv")
     lines = [CLASSES_HEADER]
     bad_partitions = []
     bad_matches = []
@@ -261,115 +268,74 @@ def _cmd_verify_classes(args) -> int:
                 if not match:
                     bad_matches.append((n, r))
                 lines.append(f"{n},{r},{count},{predicted},{match}")
-    path = os.path.join(out, "classes.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    ok = not bad_partitions and not bad_matches
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "cap": args.cap,
-                    "rows": len(lines) - 1,
-                    "partitions_ok": not bad_partitions,
-                    "matches_ok": not bad_matches,
-                },
-                indent=2,
-            )
-        )
-    else:
-        _print_kv(
-            [
-                ("cap", args.cap),
-                ("rows", len(lines) - 1),
-                ("partitions_ok", int(not bad_partitions)),
-                ("matches_ok", int(not bad_matches)),
-            ]
-        )
-    print(f"wrote {path}", file=sys.stderr)
-    if not ok:
-        if bad_partitions:
-            print(f"invariant violated: partition failed at n={bad_partitions}", file=sys.stderr)
-        if bad_matches:
-            print(f"invariant violated: count mismatches at {bad_matches}", file=sys.stderr)
-        return 1
-    return 0
+    _write_text(path, "\n".join(lines) + "\n")
+    payload = {
+        "cap": args.cap,
+        "rows": len(lines) - 1,
+        "partitions_ok": not bad_partitions,
+        "matches_ok": not bad_matches,
+    }
+    failures = []
+    if bad_partitions:
+        failures.append(f"partition failed at n={bad_partitions}")
+    if bad_matches:
+        failures.append(f"count mismatches at {bad_matches}")
+    pairs = [(k, int(v) if isinstance(v, bool) else v) for k, v in payload.items()]
+    return Report(payload, pairs, [path], failures)
 
 
-def _cmd_order_stats(args) -> int:
+def _cmd_order_stats(args) -> Report:
     if args.base < 2:
         raise UsageError(f"--base must be at least 2, got {args.base}")
     if args.t < 2 or args.cap < args.t:
         raise UsageError("need 2 <= t <= cap")
-    out = _ensure_out(args.out)
+    path = _out_path(args, "orders.csv")
     stats = order_stats(args.base, args.t, args.cap)
-    levels = stats.census
-    rows = []
-    violations = []
-    for m, count in levels.items():
+    lines = [ORDERS_HEADER]
+    failures = []
+    for m, count in stats.census.items():
         bound = nord_bound(args.base, m)
         ok = count <= bound
         if not ok:
-            violations.append((m, count, bound))
-        rows.append(f"{m},{count},{bound:.6g},{int(ok)}")
-    path = os.path.join(out, "orders.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ORDERS_HEADER + "\n")
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
-    tails = {"tail_sum": stats.tail_sum, "product_tail_sum": stats.product_tail_sum}
-    report = order_level_report(args.base, min(args.t, 10_000))
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "base": args.base,
-                    "t": args.t,
-                    "cap": args.cap,
-                    "distinct_orders": len(levels),
-                    "bound_ok": not violations,
-                    "tail_sums": tails,
-                    "level_threshold": report.threshold,
-                    "flagged_levels": {str(m): c for m, c in report.flagged.items()},
-                },
-                indent=2,
-            )
-        )
-    else:
-        pairs = [
-            ("base", args.base),
-            ("t", args.t),
-            ("cap", args.cap),
-            ("distinct_orders", len(levels)),
-            ("bound_ok", int(not violations)),
-            ("tail_sum", tails["tail_sum"]),
-            ("product_tail_sum", tails["product_tail_sum"]),
-            ("level_threshold", report.threshold),
-            ("flagged_levels", len(report.flagged)),
-        ]
-        pairs.extend((f"flagged_m_{m}", c) for m, c in report.flagged.items())
-        _print_kv(pairs)
-    print(f"wrote {path}", file=sys.stderr)
-    if violations:
-        for m, count, bound in violations:
-            print(
-                f"invariant violated: {count} primes at order {m} "
-                f"exceeds bound {bound:.6g}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+            failures.append(f"{count} primes at order {m} exceeds bound {bound:.6g}")
+        lines.append(f"{m},{count},{bound:.6g},{int(ok)}")
+    _write_text(path, "\n".join(lines) + "\n")
+    levels = order_level_report(args.base, min(args.t, 10_000))
+    head = {
+        "base": args.base,
+        "t": args.t,
+        "cap": args.cap,
+        "distinct_orders": len(stats.census),
+    }
+    payload = {
+        **head,
+        "bound_ok": not failures,
+        "tail_sums": {"tail_sum": stats.tail_sum, "product_tail_sum": stats.product_tail_sum},
+        "level_threshold": levels.threshold,
+        "flagged_levels": {str(m): c for m, c in levels.flagged.items()},
+    }
+    pairs = [
+        *head.items(),
+        ("bound_ok", int(not failures)),
+        ("tail_sum", stats.tail_sum),
+        ("product_tail_sum", stats.product_tail_sum),
+        ("level_threshold", levels.threshold),
+        ("flagged_levels", len(levels.flagged)),
+        *((f"flagged_m_{m}", c) for m, c in levels.flagged.items()),
+    ]
+    return Report(payload, pairs, [path], failures)
 
 
-def _cmd_sieve_report(args) -> int:
+def _cmd_sieve_report(args) -> Report:
     if args.x < 2:
         raise UsageError(f"--x must be at least 2, got {args.x}")
     if (args.y is None) != (args.z is None):
         raise UsageError("give both --y and --z or neither")
     curve = _load_curve(args)
-    out = _ensure_out(args.out)
+    if args.y is not None and args.y >= args.z:
+        raise UsageError(f"need y < z, got y={args.y} z={args.z}")
+    path = _out_path(args, "sieve.json")
     if args.y is not None:
-        if args.y >= args.z:
-            raise UsageError(f"need y < z, got y={args.y} z={args.z}")
         y, z = args.y, args.z
         preset_meta = {"preset": None}
     else:
@@ -383,53 +349,46 @@ def _cmd_sieve_report(args) -> int:
     result = run_census(curve, args.x, base=args.base, strict=args.strict_fermat)
     preset_meta["curve"] = curve.label
     report = build_sieve_report(result, y, z, s=args.s, extra_meta=preset_meta)
-    path = os.path.join(out, "sieve.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        _print_kv(
-            [
-                ("curve", curve.label),
-                ("base", args.base),
-                ("x", args.x),
-                ("y", report.y),
-                ("z", report.z),
-                ("V_y_z", report.V_y_z),
-                ("F_s", report.F_s),
-                ("envelope_uncond", report.envelope_uncond),
-                ("envelope_uncond_vacuous", int(report.meta["envelope_uncond_vacuous"])),
-                ("envelope_grh", report.envelope_grh),
-                ("envelope_grh_vacuous", int(report.meta["envelope_grh_vacuous"])),
-                ("empirical_S", report.empirical_S),
-                ("empirical_T", report.empirical_T),
-                ("empirical_Q", report.empirical_Q),
-            ]
-        )
-    print(f"wrote {path}", file=sys.stderr)
+    payload = report.to_dict()
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    pairs = [
+        ("curve", curve.label),
+        ("base", args.base),
+        ("x", args.x),
+        ("y", report.y),
+        ("z", report.z),
+        ("V_y_z", report.V_y_z),
+        ("F_s", report.F_s),
+        ("envelope_uncond", report.envelope_uncond),
+        ("envelope_uncond_vacuous", int(report.meta["envelope_uncond_vacuous"])),
+        ("envelope_grh", report.envelope_grh),
+        ("envelope_grh_vacuous", int(report.meta["envelope_grh_vacuous"])),
+        ("empirical_S", report.empirical_S),
+        ("empirical_T", report.empirical_T),
+        ("empirical_Q", report.empirical_Q),
+    ]
+    failures = []
     if report.empirical_Q > report.empirical_S + report.empirical_T:
-        print("invariant violated: Q exceeds S + T", file=sys.stderr)
-        return 1
-    return 0
+        failures.append("Q exceeds S + T")
+    return Report(payload, pairs, [path], failures)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        if args.format == "json":
+            print(json.dumps(report.payload, indent=2))
+        else:
+            _print_kv(report.pairs)
+        print("wrote " + " ".join(report.wrote), file=sys.stderr)
+        for msg in report.failures:
+            print(f"invariant violated: {msg}", file=sys.stderr)
+        return 1 if report.failures else 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingularCurveError as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 1
-    except InvariantError as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
+    except (SingularCurveError, ArithmeticError) as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -77,12 +77,9 @@ def iter_prime_segments(
     segment depends only on (lo, hi): identical bounds give identical primes
     no matter which worker produced them.
     """
-    _check_cutoff(x)
-    if segment_len < 2:
-        raise ValueError("segment_len must be at least 2")
+    bounds = segment_bounds(x, segment_len)
     odd_base = _odd_base_primes(x)
-    for lo in range(0, x + 1, segment_len):
-        hi = min(lo + segment_len, x + 1)
+    for lo, hi in bounds:
         yield PrimeSegment(lo, hi, tuple(_segment_primes(lo, hi, odd_base)))
 
 

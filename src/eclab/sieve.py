@@ -9,7 +9,7 @@ test; at desk scales they exceed pi(x) and are flagged as vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .arith import factorize
@@ -160,19 +160,7 @@ class SieveReport:
     meta: dict
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "V_y_z": self.V_y_z,
-            "F_s": self.F_s,
-            "envelope_uncond": self.envelope_uncond,
-            "envelope_grh": self.envelope_grh,
-            "empirical_S": self.empirical_S,
-            "empirical_T": self.empirical_T,
-            "empirical_Q": self.empirical_Q,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
 
 def build_sieve_report(

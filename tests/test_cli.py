@@ -1,9 +1,12 @@
 """End-to-end command line checks: exit codes, artifacts, stdout formats."""
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+import eclab.cli
+import eclab.curves
 from eclab.census import RECORDS_HEADER
 from eclab.cli import CLASSES_HEADER, ORDERS_HEADER, main
 
@@ -277,6 +280,190 @@ def test_sieve_report_output_bytes_are_golden(tmp_path, capsys, monkeypatch, cas
     assert digests == (json_digest, stdout_digest)
 
 
+def sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+# sha256 of stdout and of every artifact, recorded before the subcommands
+# shared one report path. Cases: argv -> (stdout, {artifact: digest}).
+GOLDEN_STDOUT_AND_ARTIFACTS = {
+    ("pomerance", "--x", "20000", "--threads", "1"): (
+        "eea6d1409c52cf32be31c1caeb6a8dd7a6bacd866de5a958e4fc7f9c180087d3",
+        GOLDEN_POMERANCE_37A_2E4,
+    ),
+    ("pomerance", "--x", "20000", "--threads", "1", "--format", "json"): (
+        "19e64fc87e688f68ba1736ee4cc480d4c272f2a92fb77e1c0a58b1c344831eaf",
+        GOLDEN_POMERANCE_37A_2E4,
+    ),
+    ("census", "--curve", "389a", "--base", "3", "--strict-fermat", "--x", "5000",
+     "--threads", "1"): (
+        "87f106f04be7e6b0d417b1808dc53d0f0c40de0cdfdab6c8791d406ab4a29424",
+        {
+            "records.csv": "b1f70ba7a0a10099df59a290204ad07d8f0837838d53b40f68b321ec9d7c973b",
+            "summary.json": "f785806f74c4bd10c576975c0b6dd878b04cf00c1e7c639b8d270d14db5eaa61",
+        },
+    ),
+    ("verify-classes", "--cap", "20"): (
+        "84ba236927bd5ed6dfa049685095eb4acd3345fc96999c2c4c273a41ac73c80c",
+        {"classes.csv": "cf60d57931630f6354cedb38a6bc824c880efec17d06caba42cef2ddeaa87cb4"},
+    ),
+    ("verify-classes", "--cap", "20", "--format", "json"): (
+        "5fdbc398e58faf7786ba8b8d4ddf32fec4e74dfb8d05e36f73741e7dd2110804",
+        {"classes.csv": "cf60d57931630f6354cedb38a6bc824c880efec17d06caba42cef2ddeaa87cb4"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_AND_ARTIFACTS), ids=" ".join)
+def test_stdout_and_artifact_bytes_are_golden(tmp_path, capsys, argv):
+    stdout_digest, artifacts = GOLDEN_STDOUT_AND_ARTIFACTS[argv]
+    code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert sha256(stdout) == stdout_digest
+    assert {name: sha256((tmp_path / name).read_bytes()) for name in artifacts} == artifacts
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(artifacts)
+
+
+# The whole stderr of one run of each subcommand, with the output directory
+# shown as OUT. Recorded before the subcommands shared one report path.
+GOLDEN_STDERR = {
+    ("census", "--x", "300", "--threads", "1"): "wrote OUT/records.csv OUT/summary.json\n",
+    ("pomerance", "--x", "300", "--threads", "1"): "wrote OUT/records.csv OUT/summary.json\n",
+    ("verify-classes", "--cap", "6"): "wrote OUT/classes.csv\n",
+    ("order-stats", "--t", "100", "--cap", "200"): "wrote OUT/orders.csv\n",
+    ("sieve-report", "--x", "300", "--y", "5", "--z", "50"): "wrote OUT/sieve.json\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDERR), ids=" ".join)
+def test_stderr_is_golden(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("ECLAB_THREADS", "1")
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert stderr.replace(str(out), "OUT") == GOLDEN_STDERR[argv]
+
+
+def test_trailing_slash_on_out_is_joined_once(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, stderr = run(
+        capsys, "census", "--x", "100", "--threads", "1", "--out", f"{out}/"
+    )
+    assert code == 0
+    assert stderr == f"wrote {out}/records.csv {out}/summary.json\n"
+
+
+def wrap(monkeypatch, module, name, after):
+    """Replace module.name by a call to the original whose result goes through after."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: after(real(*a, **k), *a))
+
+
+def test_order_stats_bound_violation_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(eclab.cli, "nord_bound", lambda b, m: 0)
+    code, stdout, stderr = run(
+        capsys, "order-stats", "--t", "100", "--cap", "200", "--out", str(tmp_path)
+    )
+    assert code == 1
+    rows = (tmp_path / "orders.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",0,0") for row in rows)
+    expected = [f"wrote {tmp_path / 'orders.csv'}"] + [
+        f"invariant violated: {row.split(',')[1]} primes at order {row.split(',')[0]} "
+        "exceeds bound 0"
+        for row in rows
+    ]
+    assert stderr.splitlines() == expected
+    assert "bound_ok,0" in stdout.splitlines()
+
+
+def test_verify_classes_partition_failure_exits_one(tmp_path, capsys, monkeypatch):
+    wrap(monkeypatch, eclab.cli, "gl2_order", lambda order, n: order + 1)
+    code, stdout, stderr = run(
+        capsys, "verify-classes", "--cap", "5", "--out", str(tmp_path), "--format", "json"
+    )
+    assert code == 1
+    assert stderr.splitlines() == [
+        f"wrote {tmp_path / 'classes.csv'}",
+        "invariant violated: partition failed at n=[2, 3, 4, 5]",
+    ]
+    assert json.loads(stdout) == {
+        "cap": 5, "rows": 14, "partitions_ok": False, "matches_ok": True,
+    }
+    assert (tmp_path / "classes.csv").read_text().startswith(CLASSES_HEADER + "\n")
+
+
+def test_verify_classes_count_mismatch_exits_one(tmp_path, capsys, monkeypatch):
+    wrap(
+        monkeypatch, eclab.cli, "predicted_class_count",
+        lambda count, n, r: None if count is None else count + 1,
+    )
+    code, stdout, stderr = run(capsys, "verify-classes", "--cap", "4", "--out", str(tmp_path))
+    assert code == 1
+    rows = [row.split(",") for row in (tmp_path / "classes.csv").read_text().splitlines()[1:]]
+    mismatches = [(int(n), int(r)) for n, r, _, formula, match in rows if match == "0"]
+    assert mismatches and len(mismatches) == sum(1 for row in rows if row[3])
+    assert stderr.splitlines() == [
+        f"wrote {tmp_path / 'classes.csv'}",
+        f"invariant violated: count mismatches at {mismatches}",
+    ]
+    assert "matches_ok,0" in stdout.splitlines()
+
+
+def test_sieve_report_q_above_s_plus_t_exits_one(tmp_path, capsys, monkeypatch):
+    wrap(
+        monkeypatch, eclab.cli, "build_sieve_report",
+        lambda rep, *a: dataclasses.replace(
+            rep, empirical_Q=rep.empirical_S + rep.empirical_T + 1
+        ),
+    )
+    code, stdout, stderr = run(
+        capsys, "sieve-report", "--x", "300", "--y", "5", "--z", "50", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert stderr.splitlines() == [
+        f"wrote {tmp_path / 'sieve.json'}",
+        "invariant violated: Q exceeds S + T",
+    ]
+    report = json.loads((tmp_path / "sieve.json").read_text())
+    assert report["empirical_Q"] == report["empirical_S"] + report["empirical_T"] + 1
+    assert f"empirical_Q,{report['empirical_Q']}" in stdout.splitlines()
+
+
+def test_census_partition_failure_exits_one(tmp_path, capsys, monkeypatch):
+    wrap(
+        monkeypatch, eclab.cli, "summarize",
+        lambda summary, *a: dataclasses.replace(
+            summary, meta={**summary.meta, "partition_ok": False}
+        ),
+    )
+    code, stdout, stderr = run(
+        capsys, "census", "--x", "300", "--threads", "1", "--out", str(tmp_path),
+        "--format", "json",
+    )
+    assert code == 1
+    assert stderr.splitlines() == [
+        f"wrote {tmp_path / 'records.csv'} {tmp_path / 'summary.json'}",
+        "invariant violated: partition failed: "
+        "Q != fermat-passing primes + pseudoprimes + units",
+    ]
+    assert json.loads(stdout)["meta"]["partition_ok"] is False
+    assert json.loads((tmp_path / "summary.json").read_text())["meta"]["partition_ok"] is False
+    assert (tmp_path / "records.csv").read_text().startswith(RECORDS_HEADER + "\n")
+
+
+def test_hasse_violation_exits_one(tmp_path, capsys, monkeypatch):
+    # A point count past the Hasse window makes the census's own
+    # _trace_reduced raise ArithmeticError at the first prime.
+    monkeypatch.setattr(eclab.curves, "count_points", lambda rc: 4 * rc.p + 1)
+    code, stdout, stderr = run(
+        capsys, "census", "--x", "300", "--threads", "1", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert stderr == "invariant violated: trace -6 at p=2 violates the Hasse bound\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path)
     cases = [
@@ -312,13 +499,14 @@ def test_argparse_level_errors(tmp_path):
 def test_singular_curve_exits_one(tmp_path, capsys):
     curves = tmp_path / "curves.txt"
     curves.write_text("sing:0,0,0,-3,2\n")
-    code, _, stderr = run(
+    code, stdout, stderr = run(
         capsys,
         "census", "--x", "100", "--curve", "sing",
         "--curve-file", str(curves), "--out", str(tmp_path),
     )
     assert code == 1
-    assert "invariant violated" in stderr
+    assert stderr.startswith("invariant violated: ")
+    assert stdout == ""
 
 
 def test_malformed_curve_file_exits_two(tmp_path, capsys):
@@ -346,3 +534,21 @@ def test_io_errors_exit_three(tmp_path, capsys):
     code, _, stderr = run(capsys, "census", "--x", "100", "--out", str(blocker))
     assert code == 3
     assert "i/o error" in stderr
+
+
+@pytest.mark.parametrize("argv, compute", [
+    (("census", "--x", "100"), "run_census"),
+    (("sieve-report", "--x", "300"), "run_census"),
+    (("verify-classes", "--cap", "4"), "class_count_table"),
+    (("order-stats", "--t", "100", "--cap", "200"), "order_stats"),
+])
+def test_unwritable_out_exits_three_before_counting(tmp_path, capsys, monkeypatch, argv, compute):
+    def counted(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before --out was checked")
+
+    monkeypatch.setattr(eclab.cli, compute, counted)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("plain file\n")
+    code, stdout, stderr = run(capsys, *argv, "--out", str(blocker))
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith("i/o error: ")
