@@ -34,6 +34,9 @@ FERMAT_BIT = 1
 PRIME_BIT = 2
 PSEUDO_BIT = 4
 
+# primes per census task: small enough that a pool's workers finish together
+TASK_PRIMES = 2048
+
 
 @dataclass(frozen=True)
 class CensusResult:
@@ -102,16 +105,18 @@ def run_census(
 ) -> CensusResult:
     """Count points at every prime p <= x and classify each group order.
 
-    threads > 1 spreads prime segments over a process pool; segment results
-    are concatenated in segment order, so output is independent of threads.
-    The default comes from the ECLAB_THREADS environment variable.
+    Each segment's primes go out in tasks of at most TASK_PRIMES, so the
+    process pool of threads > 1 (default: the ECLAB_THREADS environment
+    variable) stays balanced even when x spans only a segment or two. Task
+    results are concatenated in order, so output is independent of threads.
     """
     if x < 2:
         raise ValueError(f"census needs x >= 2, got {x}")
     workers = _worker_count(threads)
     tasks = (
-        (curve, seg.primes, base, strict)
+        (curve, seg.primes[i : i + TASK_PRIMES], base, strict)
         for seg in iter_prime_segments(x, segment_len)
+        for i in range(0, len(seg.primes), TASK_PRIMES)
     )
     records: list[TraceRecord] = []
     verdicts = bytearray()

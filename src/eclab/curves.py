@@ -2,17 +2,22 @@
 
 Point counting takes one path per prime: full enumeration for p in {2, 3}
 (no short Weierstrass model exists there) and baby-step/giant-step order
-finding inside the Hasse window for every p >= 5. The baby table is keyed
-on x alone, so one entry x(jP) stands for both jP and -jP and one giant
-step covers 2m + 1 multiples. When random points leave the order
-ambiguous, the quadratic twist decides it; an exact character sum is the
-last resort. A separate exhaustive-enumeration oracle (naive_count)
-provides an independent check.
+finding inside the Hasse window for every p >= 5. The 2-torsion first pins
+n mod 2 or 4 (Cohen, GTM 138, Alg. 7.4.12): one Legendre symbol of the
+cubic's discriminant, and x^p mod the cubic when that is a square. The
+search then runs only over N = n0 (mod M), with Q = M*P in a baby table
+keyed on x alone, so one entry x(jQ) stands for both jQ and -jQ and one
+giant step covers 2m + 1 values of N. The first giant is a short multiple
+of the stride (2m + 1)Q, plus P at most. Points come from a deterministic
+x-walk, and their congruences are merged in closed form. When they leave
+the order ambiguous, the quadratic twist decides it; an exact character
+sum is the last resort. A separate exhaustive-enumeration oracle
+(naive_count) provides an independent check.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -147,14 +152,14 @@ def _trace_reduced(rc: ReducedCurve) -> TraceRecord:
 
 
 def _count_enumeration(rc: ReducedCurve) -> int:
-    """Full (x, y) sweep of the long equation; only used for p in {2, 3}."""
+    """Full (x, y) sweep of the long equation: the count for p in {2, 3} and
+    the O(p^2) brute-force oracle of the tests."""
     p = rc.p
     n = 1
     for x in range(p):
         rhs = (((x + rc.a2) * x + rc.a4) * x + rc.a6) % p
-        for y in range(p):
-            if (y * y + rc.a1 * x * y + rc.a3 * y) % p == rhs:
-                n += 1
+        c = rc.a1 * x + rc.a3  # y^2 + a1 xy + a3 y = y (y + c)
+        n += [y * (y + c) % p for y in range(p)].count(rhs)
     return n
 
 
@@ -210,137 +215,223 @@ def _jadd_mixed(p: int, a: int, pt, x2: int, y2: int):
 
 def _jmul(p: int, a: int, k: int, x: int, y: int):
     """k * (x, y) for k >= 0, double-and-add."""
-    acc = _J_INF
     if k == 0:
-        return acc
-    for bit in bin(k)[2:]:
+        return _J_INF
+    acc = (x, y, 1)
+    for bit in bin(k)[3:]:
         acc = _jdbl(p, a, acc)
         if bit == "1":
             acc = _jadd_mixed(p, a, acc, x, y)
     return acc
 
 
-def _batch_affine(p: int, pts):
-    """Normalize Jacobian points with one shared inversion; None = infinity."""
-    idx = [i for i, pt in enumerate(pts) if pt[2]]
-    out: list[tuple[int, int] | None] = [None] * len(pts)
-    if not idx:
-        return out
-    acc = 1
-    prefix = []
-    for i in idx:
-        prefix.append(acc)
-        acc = acc * pts[i][2] % p
-    inv = pow(acc, -1, p)
-    for j in range(len(idx) - 1, -1, -1):
-        i = idx[j]
-        X, Y, Z = pts[i]
-        zi = inv * prefix[j] % p
-        inv = inv * Z % p
-        zi2 = zi * zi % p
-        out[i] = (X * zi2 % p, Y * zi2 % p * zi % p)
-    return out
+def _two_torsion_class(p: int, a: int, b: int) -> tuple[int, int]:
+    """(n0, M) with #E(F_p) = n0 (mod M) for y^2 = x^3 + ax + b, p >= 5.
+
+    E(F_p)[2] is O plus one point per root of f = x^3 + ax + b. A non-square
+    discriminant means Frobenius swaps two roots: one root, n even. A square
+    one means no root or three, split by x^p = x (mod f): three roots put
+    Z/2 x Z/2 inside E(F_p), so 4 | n; none leaves n odd.
+    """
+    if pow((-4 * a * a * a - 27 * b * b) % p, (p - 1) // 2, p) != 1:
+        return 0, 2
+    c0, c1, c2 = 0, 1, 0  # x^e mod f as c0 + c1 x + c2 x^2, from e = 1
+    for bit in bin(p)[3:]:
+        u = 2 * c1 * c2 % p
+        v = c2 * c2 % p
+        c0, c1, c2 = (
+            (c0 * c0 - b * u) % p,
+            (2 * c0 * c1 - a * u - b * v) % p,
+            (c1 * c1 + 2 * c0 * c2 - a * v) % p,
+        )
+        if bit == "1":  # times x, with x^3 = -ax - b
+            c0, c1, c2 = -b * c2 % p, (c0 - a * c2) % p, c1
+    return (0, 4) if (c0, c1, c2) == (0, 1, 0) else (1, 2)
 
 
-def _sqrt_mod(p: int, n: int) -> int:
-    """Square root of a quadratic residue n mod odd prime p (Tonelli-Shanks)."""
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        tt, i = t, 0
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+def _walk_points(p: int, a: int, b: int):
+    """Points (X, Y, A), Y != 0: (X, Y) lies on Y^2 = X^3 + AX + B, a model
+    isomorphic to y^2 = x^3 + ax + b over F_p.
 
-
-def _random_point(p: int, a: int, b: int, rng: random.Random) -> tuple[int, int]:
-    while True:
-        x = rng.randrange(p)
+    x walks x0, x0 + 1, ... once round F_p from an x0 fixed by (p, a, b), so
+    the draws are deterministic and cheap. Where t = x^3 + ax + b is a
+    nonzero square, (xt, t^2) lies on the model scaled by u^2 = t
+    (A = at^2, B = bt^3), which needs no square root. Points with y = 0
+    have order 2 and say nothing the 2-torsion class does not.
+    """
+    e = (p - 1) // 2
+    x0 = (a + 2 * b + 1) % p
+    for i in range(p):
+        x = (x0 + i) % p
         t = (x * x % p * x + a * x + b) % p
-        if t == 0:
-            return (x, 0)
-        if pow(t, (p - 1) // 2, p) == 1:
-            return (x, _sqrt_mod(p, t))
+        if t and pow(t, e, p) == 1:
+            yield x * t % p, t * t % p, a * t % p * t % p
+
+
+def _multiples_by_order(
+    p: int, a: int, x1: int, y1: int, first: int, hi: int, M: int
+) -> list[int]:
+    """N = first + kM <= hi with N*(x1, y1) = O, for a point of small order."""
+    o, pt = 1, (x1, y1, 1)
+    while pt[2]:
+        pt = _jadd_mixed(p, a, pt, x1, y1)
+        o += 1
+    return [N for N in range(first, hi + 1, M) if N % o == 0]
 
 
 def _point_multiples_in_window(
-    p: int, a: int, x1: int, y1: int, lo: int, hi: int
+    p: int, a: int, x1: int, y1: int, lo: int, hi: int, n0: int, M: int
 ) -> list[int]:
-    """All N in [lo, hi] with N*(x1, y1) = infinity, by baby-step/giant-step.
+    """All N in [lo, hi] with N = n0 (mod M) and N*P = O, P = (x1, y1).
 
-    These are exactly the multiples of the point order in the window, so the
-    list is never empty (the group order is one of them) and consecutive
-    entries differ by the point order.
+    M is a power of two and n0 is 0 or 1. The list holds exactly the N of
+    the progression that the point order divides, so consecutive entries
+    differ by lcm(M, ord P); it holds the group order whenever the group
+    order is n0 mod M.
 
-    The baby table holds x(jP) for j = 1..m. A giant c*P with the same x is
-    +-jP: equal y gives (c - j)P = O, opposite y gives (c + j)P = O, and
-    y = 0 gives both. Giants c = lo + m + i(2m + 1) therefore cover the
-    window in blocks [c - m, c + m].
+    With N = first + kM, k = 0..K-1, N*P = O reads first*P + k*Q = O for
+    Q = M*P. The baby table holds x(jQ) for j = 1..m. A giant G_c =
+    (first + cM)*P with the same x is +-jQ: equal y gives k = c - j, opposite
+    y gives k = c + j, and y = 0 both, so giants c = c0 + i(2m + 1) cover k
+    in blocks [c - m, c + m]. c0 in [-m, m] is picked so that
+    first + c0*M = n0 + q(2m + 1)M: the anchor is q*((2m + 1)Q) plus n0*P,
+    and q is (2m + 1)M times smaller than the scalar first + c0*M. A point
+    whose Q has order at most 2m + 1 is counted directly.
     """
-    m = isqrt((hi - lo) // 2) + 1
-    jac = [(x1, y1, 1)]
-    for _ in range(1, m):
-        jac.append(_jadd_mixed(p, a, jac[-1], x1, y1))
-    stride = _jadd_mixed(p, a, _jdbl(p, a, jac[-1]), x1, y1)  # (2m + 1) * P
-    *baby, stride_aff = _batch_affine(p, jac + [stride])
-    if None in baby or stride_aff is None:
-        # the point order is the first j <= m with jP = O, else 2m + 1
-        o = baby.index(None) + 1 if None in baby else 2 * m + 1
-        return list(range((lo + o - 1) // o * o, hi + 1, o))
-    table: dict[int, list[tuple[int, int]]] = {}
-    for j, (bx, by) in enumerate(baby, start=1):
-        table.setdefault(bx, []).append((j, by))
+    first = lo + (n0 - lo) % M
+    K = (hi - first) // M + 1
+    m = max(2, isqrt((K - 1) // 2) + 1)  # >= 2: the second baby is a doubling
+    s = 2 * m + 1
+    small = (p, a, x1, y1, first, hi, M)
+    Q = (x1, y1, 1)
+    for _ in range(M.bit_length() - 1):
+        Q = _jdbl(p, a, Q)
+    if not Q[2]:
+        return _multiples_by_order(*small)
+    zi = pow(Q[2], -1, p)
+    zi2 = zi * zi % p
+    qx, qy = Q[0] * zi2 % p, Q[1] * zi2 % p * zi % p
 
-    c0 = lo + m
-    giants = [_jmul(p, a, c0, x1, y1)]
-    for _ in range((hi - lo) // (2 * m + 1)):
-        giants.append(_jadd_mixed(p, a, giants[-1], *stride_aff))
+    # Baby steps jQ, j = 1..m, as Z_{j+1} = Z_j * H_j, so one inversion
+    # and one product per step normalize them all. An x repeat below m
+    # means ord Q <= m.
+    X, Y, Z = _jdbl(p, a, (qx, qy, 1))
+    if not Z:
+        return _multiples_by_order(*small)
+    baby = [(qx, qy, 1), (X, Y, Z)]
+    hs = [0, Z]
+    for _ in range(m - 2):
+        ZZ = Z * Z % p
+        H = (qx * ZZ - X) % p
+        if not H:
+            return _multiples_by_order(*small)
+        r = (qy * ZZ % p * Z - Y) % p
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X = (r * r - HHH - 2 * V) % p
+        Y = (r * (V - X) - Y * HHH) % p
+        Z = Z * H % p
+        baby.append((X, Y, Z))
+        hs.append(H)
+    sX, sY, sZ = _jadd_mixed(p, a, _jdbl(p, a, baby[-1]), qx, qy)  # (2m + 1) * Q
+    if not sZ:  # ord Q divides 2m + 1
+        return _multiples_by_order(*small)
+    inv = pow(baby[-1][2] * sZ % p, -1, p)
+    zi = inv * baby[-1][2] % p
+    zi2 = zi * zi % p
+    sx, sy = sX * zi2 % p, sY * zi2 % p * zi % p
+    inv = inv * sZ % p
+    table = {}
+    for j in range(m, 0, -1):
+        X = baby[j - 1][0]
+        table[X * inv % p * inv % p] = j
+        inv = inv * hs[j - 1] % p
+    if len(table) < m:  # ord Q <= 2m
+        return _multiples_by_order(*small)
+
+    # Giants from the short anchor, with the same product chain; a step
+    # through O or a doubling (H = 0) restarts it at one more inversion.
+    t = (first - n0) // M
+    c0 = -t % s
+    if c0 > m:
+        c0 -= s
+    pt = _jmul(p, a, (t + c0) // s, sx, sy)
+    if n0:
+        pt = _jadd_mixed(p, a, pt, x1, y1)
+    giants = [pt]
+    hs = []
+    for _ in range((K - 2 - m - c0) // s + 1):  # until c0 + i*s + m >= K - 1
+        X1, Y1, Z1 = pt
+        ZZ = Z1 * Z1 % p
+        H = (sx * ZZ - X1) % p
+        if Z1 and H:
+            r = (sy * ZZ % p * Z1 - Y1) % p
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X1 * HH % p
+            X3 = (r * r - HHH - 2 * V) % p
+            pt = (X3, (r * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
+        else:
+            pt = _jadd_mixed(p, a, pt, sx, sy)
+            H = 0
+        giants.append(pt)
+        hs.append(H)
 
     found = []
-    for i, pt in enumerate(_batch_affine(p, giants)):
-        c = c0 + i * (2 * m + 1)
-        if pt is None:
+    inv = 0
+    for i in range(len(giants) - 1, -1, -1):
+        X, Y, Z = giants[i]
+        c = c0 + i * s
+        if not Z:
             found.append(c)
+            inv = 0
             continue
-        gx, gy = pt
-        for j, by in table.get(gx, ()):
+        if not inv:
+            inv = pow(Z, -1, p)
+        zi2 = inv * inv % p
+        j = table.get(X * zi2 % p)
+        if j:
+            gy = Y * zi2 % p * inv % p
+            _, bY, bZ = baby[j - 1]
+            bzi = pow(bZ, -1, p)
+            by = bY * bzi % p * bzi % p * bzi % p
             if by == gy:
                 found.append(c - j)
             if by == (p - gy) % p:
                 found.append(c + j)
-    return sorted(n for n in found if lo <= n <= hi)
+        inv = inv * hs[i - 1] % p if i else 0
+    return sorted(first + k * M for k in found if 0 <= k < K)
 
 
-def _order_search(p: int, a: int, b: int, attempts: int) -> int | None:
-    """Group order of y^2 = x^3 + ax + b if some point pins it down uniquely."""
-    rng = random.Random((p << 24) ^ (a << 12) ^ b)
+def _order_search(
+    p: int, a: int, b: int, n0: int, M: int, attempts: int
+) -> int | None:
+    """Group order n = n0 (mod M) of y^2 = x^3 + ax + b, if some points pin it.
+
+    Each point P says n = N (mod lcm(M, ord P)) for any N it leaves; the
+    congruences are merged in closed form until one N of the Hasse window
+    is left.
+    """
     half = isqrt(4 * p)
     lo, hi = p + 1 - half, p + 1 + half
-    known = 1
-    for _ in range(attempts):
-        x1, y1 = _random_point(p, a, b, rng)
-        ns = _point_multiples_in_window(p, a, x1, y1, lo, hi)
+    r, L = n0, M  # n = r (mod L)
+    for x1, y1, a1 in islice(_walk_points(p, a, b), attempts):
+        ns = _point_multiples_in_window(p, a1, x1, y1, lo, hi, n0, M)
         if len(ns) == 1:
             return ns[0]
-        o = ns[1] - ns[0]
-        known = known * (o // gcd(known, o))
-        if hi // known - (lo - 1) // known == 1:
-            return (hi // known) * known
+        if not ns:
+            raise ArithmeticError(f"no group order = {n0} mod {M} at p={p}")
+        r2, L2 = ns[0], ns[1] - ns[0]
+        g = gcd(L, L2)
+        if (r2 - r) % g:
+            raise ArithmeticError(f"inconsistent group order residues at p={p}")
+        u = L2 // g
+        r += L * ((r2 - r) // g * pow(L // g, -1, u) % u)
+        L *= u
+        n = lo + (r - lo) % L
+        if n + L > hi:
+            return n
     return None
 
 
@@ -355,18 +446,22 @@ def _order_character_sum(p: int, a: int, b: int) -> int:
 
 
 def _group_order_short(p: int, a: int, b: int) -> int:
-    n = _order_search(p, a, b, attempts=10)
+    n0, M = _two_torsion_class(p, a, b)
+    n = _order_search(p, a, b, n0, M, attempts=10)
     if n is not None:
         return n
     # Ambiguous exponent: the quadratic twist's order determines ours,
-    # since the two always sum to 2p + 2.
+    # since the two always sum to 2p + 2 (= 0 mod 4), and the twist has the
+    # same 2-torsion roots up to scaling, so its class is -n0 (mod M).
     d = 2
     while pow(d, (p - 1) // 2, p) != p - 1:
         d += 1
-    n_tw = _order_search(p, a * d % p * d % p, b * d % p * d % p * d % p, attempts=10)
+    n_tw = _order_search(
+        p, a * d % p * d % p, b * d % p * d % p * d % p, -n0 % M, M, attempts=10
+    )
     if n_tw is not None:
         return 2 * p + 2 - n_tw
-    # exact but slow safety net; on the builtin curves only reached at p <= 29
+    # exact but slow safety net for small p, where both groups can stay ambiguous
     return _order_character_sum(p, a, b)
 
 

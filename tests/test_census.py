@@ -6,12 +6,14 @@ from collections import Counter
 
 import pytest
 
+from eclab import census
 from eclab.arith import is_prime
 from eclab.census import (
     FERMAT_BIT,
     PRIME_BIT,
     PSEUDO_BIT,
     RECORDS_HEADER,
+    TASK_PRIMES,
     CensusResult,
     CongruenceRow,
     _worker_count,
@@ -26,7 +28,7 @@ from eclab.census import (
 )
 from eclab.curves import TraceRecord, get_curve
 from eclab.gl2 import class_density
-from eclab.primes import DEFAULT_SEGMENT
+from eclab.primes import DEFAULT_SEGMENT, primes_up_to
 from eclab.pseudoprimes import pomerance_scale
 
 
@@ -118,15 +120,23 @@ def test_worker_count(monkeypatch):
         _worker_count(0)
 
 
-def test_census_deterministic_across_workers():
+def test_census_deterministic_across_workers(monkeypatch):
     # x = 3000 in segments of 256 is 12 chunks, so the pool joins the
-    # chunks of both workers; x = 500 fits in one default segment.
-    for x, segment_len in ((500, DEFAULT_SEGMENT), (3000, 256)):
+    # chunks of both workers; x = 500 fits in one default segment. Tasks
+    # of 10 primes cut each 1024-wide segment of the last case into ~17.
+    for x, segment_len, task_primes in (
+        (500, DEFAULT_SEGMENT, TASK_PRIMES),
+        (3000, 256, TASK_PRIMES),
+        (3000, 1024, 10),
+    ):
+        monkeypatch.setattr(census, "TASK_PRIMES", task_primes)
         one = run_census(CURVE, x, threads=1, segment_len=segment_len)
         two = run_census(CURVE, x, threads=2, segment_len=segment_len)
         assert one.records == two.records
         assert bytes(one.verdicts) == bytes(two.verdicts)
         assert one.skipped_bad == two.skipped_bad
+        ps = [r.p for r in one.records]
+        assert ps == sorted(ps) and sorted(ps + one.skipped_bad) == primes_up_to(x)
 
 
 def order_scan(b, d):

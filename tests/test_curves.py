@@ -1,7 +1,9 @@
 """Point counting against exhaustive oracles, reductions, and the registry."""
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eclab import curves
 from eclab.curves import (
@@ -10,10 +12,11 @@ from eclab.curves import (
     SingularCurveError,
     WeierstrassCurve,
     _count_bsgs,
+    _count_enumeration,
     _jmul,
     _point_multiples_in_window,
     _short_model,
-    _sqrt_mod,
+    _two_torsion_class,
     builtin_curves,
     count_points,
     discriminant,
@@ -110,15 +113,32 @@ def test_bsgs_matches_naive_below_and_above_cutoff():
             assert _count_bsgs(rc) == naive_count(rc), p
 
 
+def _check_two_torsion_class(rc: ReducedCurve, n: int) -> tuple[int, int]:
+    """n = n0 (mod M); below 300 also the root count behind (n0, M)."""
+    p = rc.p
+    a, b = _short_model(rc)
+    n0, M = _two_torsion_class(p, a, b)
+    assert n % M == n0, (rc, n0, M)
+    if p < 300:
+        roots = sum(1 for x in range(p) if (x * x * x + a * x + b) % p == 0)
+        assert (n0, M) == {0: (1, 2), 1: (0, 2), 3: (0, 4)}[roots], rc
+    return n0, M
+
+
 def test_count_points_matches_naive_on_every_builtin_prime_below_4096():
     pairs = 0
+    classes = set()
     for curve in builtin_curves().values():
         for p in primes_up_to(4095):
             rc = reduce_mod(curve, p)
             if rc.good:
-                assert count_points(rc) == naive_count(rc), (curve.label, p)
+                n = naive_count(rc)
+                assert count_points(rc) == n, (curve.label, p)
+                if p >= 5:
+                    classes.add(_check_two_torsion_class(rc, n))
                 pairs += 1
     assert pairs == 2816
+    assert classes == {(0, 2), (1, 2), (0, 4)}
 
 
 def _spy(monkeypatch, name):
@@ -135,7 +155,10 @@ def _spy(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("label,p", [("32a", 5), ("389a", 11)])
+# Every builtin (curve, p) below 4096 where both searches stay ambiguous.
+@pytest.mark.parametrize(
+    "label,p", [("32a", 5), ("32a", 7), ("32a", 29), ("389a", 11), ("389a", 17)]
+)
 def test_character_sum_fallback_is_taken(monkeypatch, label, p):
     rc = reduce_mod(get_curve(label), p)
     searches = _spy(monkeypatch, "_order_search")
@@ -146,8 +169,8 @@ def test_character_sum_fallback_is_taken(monkeypatch, label, p):
     assert n == naive_count(rc)
 
 
-def test_twist_branch_decides_11a_at_5(monkeypatch):
-    p = 5
+def test_twist_branch_decides_11a_at_13(monkeypatch):
+    p = 13
     rc = reduce_mod(get_curve("11a"), p)
     searches = _spy(monkeypatch, "_order_search")
     fallback = _spy(monkeypatch, "_order_character_sum")
@@ -158,30 +181,93 @@ def test_twist_branch_decides_11a_at_5(monkeypatch):
     assert n == naive_count(rc)
 
 
+# No single point leaves one order here; their merged congruences do.
+@pytest.mark.parametrize("label,p", [("37a", 131), ("389a", 19), ("11a", 127)])
+def test_points_decide_together_by_crt(monkeypatch, label, p):
+    rc = reduce_mod(get_curve(label), p)
+    windows = _spy(monkeypatch, "_point_multiples_in_window")
+    searches = _spy(monkeypatch, "_order_search")
+    n = count_points(rc)
+    assert len(windows) >= 2 and all(len(ns) > 1 for ns in windows)
+    assert searches == [n]  # decided without the twist
+    assert n == naive_count(rc)
+
+
+def test_two_torsion_class_matches_naive_on_x3_plus_2():
+    """y^2 = x^3 + 2 has one root at p = 2 (mod 3), none or three at p = 1."""
+    curve = WeierstrassCurve(0, 0, 0, 0, 2)
+    classes = set()
+    for p in primes_up_to(4095):
+        rc = reduce_mod(curve, p)
+        if p >= 5 and rc.good:
+            classes.add(_check_two_torsion_class(rc, naive_count(rc)))
+    assert classes == {(0, 2), (1, 2), (0, 4)}
+
+
 def test_point_multiples_in_window_is_exact():
-    """Every point of each short model (one y per x) against a brute-force scan."""
+    """Every point of each short model (one y per x) and every progression
+    N = n0 (mod M) against a brute-force scan of the window."""
     seen = set()
     for label, p in (("37a", 5), ("37a", 31), ("37a", 83), ("11a", 61), ("32a", 97), ("389a", 131)):
         a, b = _short_model(reduce_mod(get_curve(label), p))
         half = isqrt(4 * p)
         lo, hi = p + 1 - half, p + 1 + half
-        m = isqrt((hi - lo) // 2) + 1
         for x in range(p):
             t = (x * x * x + a * x + b) % p
             if t and pow(t, (p - 1) // 2, p) != 1:
                 continue
-            y = _sqrt_mod(p, t)
-            expected = [N for N in range(lo, hi + 1) if _jmul(p, a, N, x, y)[2] == 0]
-            got = _point_multiples_in_window(p, a, x, y, lo, hi)
-            assert got == expected, (label, p, x, y)
+            y = next(y for y in range(p) if y * y % p == t)
+            kills = [N for N in range(lo, hi + 1) if _jmul(p, a, N, x, y)[2] == 0]
             order = next(k for k in range(1, hi + 1) if _jmul(p, a, k, x, y)[2] == 0)
             if y == 0:
                 seen.add("y = 0")
-            if order <= m:
-                seen.add("order <= m")
-            if order == 2 * m + 1:
-                seen.add("order = 2m + 1")
-    assert seen == {"y = 0", "order <= m", "order = 2m + 1"}
+            for n0, M in ((0, 1), (0, 2), (1, 2), (0, 4)):
+                got = _point_multiples_in_window(p, a, x, y, lo, hi, n0, M)
+                assert got == [N for N in kills if N % M == n0], (label, p, x, y, n0, M)
+                # the branches the kernel takes for this point, recomputed
+                first = lo + (n0 - lo) % M
+                m = max(2, isqrt((hi - first) // M // 2) + 1)
+                order_q = order // gcd(order, M)
+                if order_q == 1:
+                    seen.add("M * P = O")
+                elif order_q <= m:
+                    seen.add("a baby is O")
+                elif order_q == 2 * m + 1:
+                    seen.add("stride is O")
+                elif order_q > 2 * m:
+                    c0 = -((first - n0) // M) % (2 * m + 1)
+                    if c0 > m:
+                        seen.add("anchor index c0 < 0")
+                    if n0:
+                        seen.add("anchor + P")
+    assert seen == {
+        "y = 0", "M * P = O", "a baby is O", "stride is O",
+        "anchor index c0 < 0", "anchor + P",
+    }
+
+
+# Primes 5 <= p < 5000 drawn log-uniformly (an octave, then a prime in it),
+# so half the draws are p <= 229, where the twist and the character sum run.
+_OCTAVES = [
+    [p for p in primes_up_to(4999) if p >= 5 and p.bit_length() == k] for k in range(3, 14)
+]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    coeffs=st.tuples(*[st.integers(-999, 999)] * 5),
+    p=st.sampled_from(_OCTAVES).flatmap(st.sampled_from),
+)
+@example(coeffs=(0, 0, 0, -1, 0), p=29)  # 32a: the character sum decides
+@example(coeffs=(0, -1, 1, -10, -20), p=13)  # 11a: the twist decides
+def test_count_points_matches_enumeration_on_random_long_models(coeffs, p):
+    try:
+        curve = WeierstrassCurve(*coeffs)
+    except SingularCurveError:
+        assume(False)
+    rc = reduce_mod(curve, p)
+    assume(rc.good)
+    assert count_points(rc) == _count_enumeration(rc)
 
 
 def test_short_model_preserves_group_order():
