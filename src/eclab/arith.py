@@ -81,7 +81,10 @@ def factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
-            break
+            # No prime below p divides n and p^2 > n, so n is 1 or prime.
+            if n > 1:
+                out[n] = 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

@@ -1,11 +1,17 @@
 """Class counts in GL2(Z/n): enumeration, closed forms, lifting, density bounds.
 
 C_r(n) is the set of invertible 2x2 matrices g over Z/n with
-det(g) + 1 - tr(g) = r (mod n). Everything here is exact: enumeration uses
-integer histograms, predictions and bounds use Fraction arithmetic.
+det(g) + 1 - tr(g) = r (mod n). Everything here is exact. Enumeration
+counts the diagonal pairs (a, d) by trace and product and the off-diagonal
+pairs (b, c) by product, then combines the two histograms with one
+big-integer multiplication (Kronecker substitution: each histogram is packed
+into an integer, one coefficient per fixed-width slot). Predictions and
+bounds use Fraction arithmetic.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -13,6 +19,11 @@ from math import gcd
 from .arith import euler_phi, factorize, is_prime
 
 ENUMERATION_CAP = 64
+
+# One product coefficient per 32-bit slot: a coefficient is at most
+# ENUMERATION_CAP**3 = 2**18 (see _correlations).
+_SLOT_TYPECODE = "I"
+_SLOT_BYTES = 4
 
 
 class EnumerationLimitError(ValueError):
@@ -36,40 +47,75 @@ def gl2_order(n: int) -> int:
     return order
 
 
+def _histograms(n: int) -> tuple[list[list[int]], list[int]]:
+    """The two enumerated halves of a 2x2 matrix mod n.
+
+    ps[u][v] = #{(a, d) : a + d = u, ad = v} over the diagonal pairs and
+    bc[w] = #{(b, c) : bc = w} over the off-diagonal pairs, all mod n.
+    """
+    ps = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for d in range(n):
+            ps[(a + d) % n][a * d % n] += 1
+    bc = [0] * n
+    for b in range(n):
+        for c in range(n):
+            bc[b * c % n] += 1
+    return ps, bc
+
+
+def _little_endian(slots: array) -> array:
+    """`slots` with little-endian items: byteswapped in place on big-endian
+    hosts, so the same call both packs and unpacks."""
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
+def _correlations(ps: list[list[int]], bc: list[int], n: int) -> array:
+    """Coefficients of the product P * B, one slot each.
+
+    P holds row u of ps at slot offset 2n*u; B holds bc[(n - e) mod n] in
+    slot e for e = 1..n. Then corr_u(D) = sum_v ps[u][v] * bc[v - D] is
+    coef[2nu + D] + coef[2nu + D + n]: the first term collects v < D, the
+    second v >= D. A coefficient is at most n * n^2, so it fits its slot
+    for every n <= ENUMERATION_CAP, and rows 2n slots apart never overlap.
+    """
+    p_slots = array(_SLOT_TYPECODE, bytes(_SLOT_BYTES * 2 * n * n))
+    for u, row in enumerate(ps):
+        p_slots[2 * n * u : 2 * n * u + n] = array(_SLOT_TYPECODE, row)
+    b_slots = array(_SLOT_TYPECODE, [0] + [bc[(n - e) % n] for e in range(1, n + 1)])
+    p_int = int.from_bytes(_little_endian(p_slots).tobytes(), "little")
+    b_int = int.from_bytes(_little_endian(b_slots).tobytes(), "little")
+    coef = array(_SLOT_TYPECODE)
+    coef.frombytes((p_int * b_int).to_bytes(_SLOT_BYTES * 2 * n * n, "little"))
+    return _little_endian(coef)
+
+
 def class_count_table(n: int) -> ClassCountTable:
     """Exact |C_r(n)| for every r, by enumeration.
 
-    The four entries are enumerated in two halves: a histogram of
-    (ad mod n, a+d mod n) over all diagonal pairs and a histogram of
-    bc mod n over all off-diagonal pairs. Every invertible matrix is
+    The four entries are enumerated in two halves: the diagonal histogram
+    ps[u][v] of pairs (a, d) with a + d = u and ad = v, and the off-diagonal
+    histogram bc[w] of pairs (b, c) with bc = w. A matrix with trace u and
+    determinant D = v - w lands in C_r for r = D + 1 - u, so
+    |C_r(n)| = sum_u sum_{D unit, D + 1 - u = r} corr_u(D), where
+    corr_u(D) = sum_v ps[u][v] * bc[v - D]. All n correlations come from one
+    big-integer product (see _correlations). Every invertible matrix is
     counted exactly once; no closed form enters.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if n > ENUMERATION_CAP:
         raise EnumerationLimitError(f"enumeration capped at modulus {ENUMERATION_CAP}")
-    prod_sum = [[0] * n for _ in range(n)]
-    for a in range(n):
-        row_a = a
-        for d in range(n):
-            prod_sum[row_a * d % n][(row_a + d) % n] += 1
-    bc = [0] * n
-    for b in range(n):
-        for c in range(n):
-            bc[b * c % n] += 1
+    ps, bc = _histograms(n)
+    coef = _correlations(ps, bc, n)
+    units = [D for D in range(n) if gcd(D, n) == 1]
     counts = [0] * n
-    for det in range(n):
-        if gcd(det, n) != 1:
-            continue
-        shift = det + 1
-        for pd in range(n):
-            weight = bc[(pd - det) % n]
-            if not weight:
-                continue
-            row = prod_sum[pd]
-            for s in range(n):
-                if row[s]:
-                    counts[(shift - s) % n] += row[s] * weight
+    for u in range(n):
+        row = 2 * n * u
+        for D in units:
+            counts[(D + 1 - u) % n] += coef[row + D] + coef[row + D + n]
     return ClassCountTable(n, sum(counts), tuple(counts))
 
 

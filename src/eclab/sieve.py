@@ -30,23 +30,33 @@ def euler_gamma_series(terms: int = 100_000) -> float:
     return h - math.log(n) - 1 / (2 * n) + 1 / (12 * n * n) - 1 / (120 * n**4)
 
 
+def _weight_terms(ell: int) -> tuple[int, int]:
+    """(N, D) with w(ell) = N / D = ell(ell^2-2) / ((ell-1)(ell^2-1))."""
+    return ell * (ell * ell - 2), (ell - 1) * (ell * ell - 1)
+
+
 def sieve_density(ell: int, y: float = 1.0) -> Fraction:
     """w_y(ell): the density weight at a prime ell, zero below the floor y."""
     if ell < 2:
         raise ValueError("ell must be a prime >= 2")
     if ell < y:
         return Fraction(0)
-    return Fraction(ell * (ell * ell - 2), (ell - 1) * (ell * ell - 1))
+    return Fraction(*_weight_terms(ell))
 
 
 def density_product(y: float, z: float) -> float:
-    """V_y(z) = prod_{p < z} (1 - w_y(p)/p), double precision."""
+    """V_y(z) = prod_{p < z} (1 - w_y(p)/p), double precision.
+
+    Each factor (D p - N) / (D p) is one integer true division, so it is
+    correctly rounded, the same double as the exact rational would give.
+    """
     if z < 0:
         raise ValueError("z must be nonnegative")
     v = 1.0
     for p in primes_up_to(max(0, math.ceil(z) - 1)):
         if p >= y:
-            v *= float(1 - sieve_density(p, y) / p)
+            num, den = _weight_terms(p)
+            v *= (den * p - num) / (den * p)
     return v
 
 

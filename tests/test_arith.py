@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+import eclab.arith
 from eclab.arith import (
+    _TRIAL_PRIMES,
     carmichael_lambda,
     divisors,
     euler_phi,
@@ -11,6 +13,7 @@ from eclab.arith import (
     is_prime,
     prime_factors,
 )
+from eclab.pseudoprimes import _factor_with, smallest_prime_factors
 
 
 def trial_division_prime(n: int) -> bool:
@@ -59,6 +62,45 @@ def test_factorize_larger_composites():
     m13, m17 = 2**13 - 1, 2**17 - 1
     assert factorize(m13 * m17) == {m13: 1, m17: 1}
     assert factorize((2**13 - 1) ** 2) == {m13: 2}
+
+
+def near_trial_squares() -> list[int]:
+    return [m for p in _TRIAL_PRIMES for m in (p * p - 1, p * p, p * p + 1)]
+
+
+def test_factorize_matches_spf_table():
+    spf = smallest_prime_factors(_TRIAL_PRIMES[-1] ** 2 + 1)
+    for n in [*range(1, 200_000), *near_trial_squares()]:
+        assert list(factorize(n).items()) == list(_factor_with(n, spf).items()), n
+
+
+def test_factorize_skips_primality_test_below_last_trial_square(monkeypatch):
+    calls = {"is_prime": [], "rho": []}
+    is_prime_real, rho_real = eclab.arith.is_prime, eclab.arith._pollard_rho
+
+    def spy_is_prime(n):
+        calls["is_prime"].append(n)
+        return is_prime_real(n)
+
+    def spy_rho(n):
+        calls["rho"].append(n)
+        return rho_real(n)
+
+    monkeypatch.setattr(eclab.arith, "is_prime", spy_is_prime)
+    monkeypatch.setattr(eclab.arith, "_pollard_rho", spy_rho)
+    last = _TRIAL_PRIMES[-1]
+    assert last == 997
+    squares = [m for m in near_trial_squares() if m <= last**2]
+    for n in [*range(1, 20_000), *range(last**2 - 2_000, last**2 + 1), *squares]:
+        factorize(n)
+    assert calls == {"is_prime": [], "rho": []}
+    # a cofactor that survives every trial prime still goes to Miller-Rabin
+    assert factorize(997 * 1009) == {997: 1, 1009: 1}
+    assert calls == {"is_prime": [1009], "rho": []}
+    # and a composite one on to Pollard rho
+    calls["is_prime"].clear()
+    assert factorize(1009**2) == {1009: 2}
+    assert calls == {"is_prime": [1009**2, 1009, 1009], "rho": [1009**2]}
 
 
 def test_factorize_rejects_nonpositive():

@@ -1,4 +1,5 @@
 """Matrix class counts: enumeration vs closed forms, lifting, density bounds."""
+from array import array
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,7 @@ from eclab.gl2 import (
     predicted_class_count,
     ratio_bounds_check,
 )
+from eclab.gl2 import _SLOT_BYTES, _SLOT_TYPECODE, _correlations, _histograms
 
 
 def brute_class_counts(n: int) -> list[int]:
@@ -36,6 +38,49 @@ def brute_class_counts(n: int) -> list[int]:
 def test_enumeration_matches_quadruple_loop(n):
     table = class_count_table(n)
     assert list(table.counts) == brute_class_counts(n)
+
+
+def histogram_class_counts(n: int) -> list[int]:
+    """Diagonal and off-diagonal histograms combined by a triple loop over
+    (det, ad, a + d); fast enough to cover every modulus up to the cap."""
+    prod_sum = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for d in range(n):
+            prod_sum[a * d % n][(a + d) % n] += 1
+    bc = [0] * n
+    for b in range(n):
+        for c in range(n):
+            bc[b * c % n] += 1
+    counts = [0] * n
+    for det in range(n):
+        if gcd(det, n) != 1:
+            continue
+        for pd in range(n):
+            weight = bc[(pd - det) % n]
+            for s in range(n):
+                counts[(det + 1 - s) % n] += prod_sum[pd][s] * weight
+    return counts
+
+
+@pytest.mark.parametrize("n", list(range(2, ENUMERATION_CAP + 1)))
+def test_enumeration_matches_histogram_loop(n):
+    assert list(class_count_table(n).counts) == histogram_class_counts(n)
+
+
+def test_product_coefficients_fit_their_slots():
+    n = ENUMERATION_CAP
+    slot_bits = 8 * _SLOT_BYTES
+    assert array(_SLOT_TYPECODE).itemsize == _SLOT_BYTES
+    assert n**3 < 2**slot_bits
+    ps, bc = _histograms(n)
+    # a coefficient sums ps[u][v] * bc[w] over at most one w per v
+    ceiling = max(sum(row) for row in ps) * max(bc)
+    assert ceiling <= n**3
+    coef = _correlations(ps, bc, n)
+    assert len(coef) == 2 * n * n
+    assert max(coef) <= ceiling
+    # a carry out of any slot would break P(1) * B(1) = n^2 * n^2
+    assert sum(coef) == sum(map(sum, ps)) * sum(bc) == n**4
 
 
 def test_gl2_order_literals():

@@ -58,6 +58,24 @@ def test_density_product_literals():
         density_product(1, -1)
 
 
+def fraction_density_product(y, z) -> float:
+    """V_y(z) as one exact Fraction per prime, each rounded to a double."""
+    v = 1.0
+    for p in primes_up_to(max(0, math.ceil(z) - 1)):
+        if p >= y:
+            v *= float(1 - Fraction(p * (p * p - 2), (p - 1) * (p * p - 1)) / p)
+    return v
+
+
+@pytest.mark.parametrize("y, z", [
+    (1, 3), (1, 1000), (1, 10**4), (1.0, 12345.6),
+    (2, 2), (97, 97), (500.5, 500.5),
+    (2.5, 777.7), (13.3, 4096.5), (99.9, 10**4 + 0.25),
+])
+def test_density_product_matches_fraction_product(y, z):
+    assert density_product(y, z) == fraction_density_product(y, z)
+
+
 def test_telescoping_identity():
     rng = random.Random(20260817)
     cache = {}
