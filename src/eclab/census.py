@@ -13,10 +13,9 @@ import os
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import divisors, factorize, is_prime, prime_factors
 from .curves import (
@@ -38,10 +37,7 @@ PSEUDO_BIT = 4
 TASK_PRIMES = 2048
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    """Raw census output: records in increasing p, verdicts aligned by index."""
-
+class _CensusFields(NamedTuple):
     curve: WeierstrassCurve
     x: int
     base: int
@@ -50,9 +46,21 @@ class CensusResult:
     verdicts: bytearray
     skipped_bad: list[int]
 
-    def __post_init__(self):
-        if len(self.records) != len(self.verdicts):
+
+class CensusResult(_CensusFields):
+    """Raw census output: records in increasing p, verdicts aligned by index."""
+
+    __slots__ = ()
+
+    def __new__(cls, curve, x, base, strict, records, verdicts, skipped_bad):
+        if len(records) != len(verdicts):
             raise ValueError("records and verdicts must align")
+        return super().__new__(cls, curve, x, base, strict, records, verdicts, skipped_bad)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through __new__, so _replace checks the alignment too."""
+        return cls(*fields)
 
 
 def _verdict_byte(base: int, n: int, strict: bool) -> int:
@@ -89,8 +97,15 @@ def _census_chunk(task):
 def _worker_count(threads: int | None) -> int:
     if threads is None:
         env = os.environ.get("ECLAB_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    if threads < 1:
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"ECLAB_THREADS must be a positive integer, got {env!r}")
+    elif threads < 1:
         raise ValueError("thread count must be at least 1")
     return threads
 
@@ -121,8 +136,16 @@ def run_census(
     records: list[TraceRecord] = []
     verdicts = bytearray()
     skipped: list[int] = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        chunks = pool.map(_census_chunk, tasks) if pool else map(_census_chunk, tasks)
+    if workers > 1:
+        # Imported here, so a process that never starts a pool never loads
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers)
+    else:
+        pool = nullcontext()
+    with pool:
+        chunks = pool.map(_census_chunk, tasks) if workers > 1 else map(_census_chunk, tasks)
         for recs, bits, skip in chunks:
             records.extend(recs)
             verdicts.extend(bits)
@@ -135,8 +158,7 @@ def run_census(
 _CLASS_NAMES = ("s1", "s2", "s3", "s4")
 
 
-@dataclass(frozen=True)
-class PomeranceDecomposition:
+class PomeranceDecomposition(NamedTuple):
     """Coverage split of the census pseudoprimes at scale L = L(x).
 
     s1: n <= x/L. s2: some prime ell | n, ell not dividing b, with
@@ -258,8 +280,7 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
 # -- congruence statistics ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceRow:
+class CongruenceRow(NamedTuple):
     modulus: int
     residue: int
     observed: int
@@ -299,8 +320,7 @@ def congruence_stats(
 # -- multiplicity of group orders ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplicityStats:
+class MultiplicityStats(NamedTuple):
     """How often each group order value repeats across primes.
 
     table holds only orders hit at least twice. Every repeated value is
@@ -371,8 +391,7 @@ def multiplicity_stats(records) -> MultiplicityStats:
 # -- summary -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(NamedTuple):
     x: int
     curve_label: str
     base_b: int

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .census import (
     decompose_pseudoprimes,
@@ -49,8 +49,7 @@ class UsageError(Exception):
     """Bad arguments detected after argparse (unknown label, y >= z, ...)."""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One subcommand's outcome, printed by `main`.
 
     payload is the --format json object, pairs the --format csv rows, wrote

@@ -16,7 +16,6 @@ sum is the last resort. A separate exhaustive-enumeration oracle
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -45,10 +44,7 @@ def discriminant(a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
     return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
-
+class _CurveFields(NamedTuple):
     a1: int
     a2: int
     a3: int
@@ -60,22 +56,36 @@ class WeierstrassCurve:
     # excluded from full-image density predictions. 0 means "exclude all",
     # None means "not configured" (also excludes all).
     serre_bound: int | None = None
-    disc: int = field(init=False)
+    disc: int = 0  # computed by WeierstrassCurve, never passed in
 
-    def __post_init__(self) -> None:
-        d = discriminant(self.a1, self.a2, self.a3, self.a4, self.a6)
+
+class WeierstrassCurve(_CurveFields):
+    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+
+    __slots__ = ()
+
+    def __new__(cls, a1, a2, a3, a4, a6, label="", cm=False, serre_bound=None):
+        d = discriminant(a1, a2, a3, a4, a6)
         if d == 0:
             raise SingularCurveError(
-                f"coefficients {self.coefficients()} give discriminant 0"
+                f"coefficients {(a1, a2, a3, a4, a6)} give discriminant 0"
             )
-        object.__setattr__(self, "disc", d)
+        return super().__new__(cls, a1, a2, a3, a4, a6, label, cm, serre_bound, d)
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which recomputes disc
+        return self[:-1]
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through __new__, so _replace recomputes disc."""
+        return cls(*tuple(fields)[:-1])
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
-@dataclass(frozen=True)
-class ReducedCurve:
+class ReducedCurve(NamedTuple):
     p: int
     a1: int
     a2: int

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import euler_phi, factorize, is_prime
 
@@ -30,8 +30,7 @@ class EnumerationLimitError(ValueError):
     """Modulus too large for exact enumeration."""
 
 
-@dataclass(frozen=True)
-class ClassCountTable:
+class ClassCountTable(NamedTuple):
     modulus: int
     group_order: int  # sum of all class counts, i.e. |GL2(Z/n)|
     counts: tuple[int, ...]  # counts[r] = |C_r(n)|
@@ -186,8 +185,7 @@ def identity_lift_bound(ell: int, k: int) -> Fraction:
     return Fraction(ell ** (3 * (k - 1) + 1) * ell**3, ell**3 - 1)
 
 
-@dataclass(frozen=True)
-class LiftCheck:
+class LiftCheck(NamedTuple):
     ell: int
     k: int
     r: int
@@ -220,8 +218,7 @@ def lifting_check(ell: int, k: int, r: int) -> LiftCheck:
     return LiftCheck(ell, k, r, enumerated, None, lifts, bound, lifts <= bound)
 
 
-@dataclass(frozen=True)
-class RatioBounds:
+class RatioBounds(NamedTuple):
     ell: int
     k: int
     r: int

@@ -8,10 +8,9 @@ can run far past what a one-shot list would hold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 DEFAULT_SEGMENT = 1 << 16
 MAX_CUTOFF = 1 << 63
@@ -21,8 +20,7 @@ class CutoffError(ValueError):
     """Requested sieve range exceeds the supported cutoff."""
 
 
-@dataclass(frozen=True)
-class PrimeSegment:
+class PrimeSegment(NamedTuple):
     lo: int  # inclusive
     hi: int  # exclusive
     primes: tuple[int, ...]

@@ -6,26 +6,21 @@ a base test is taken but changes the bookkeeping for primes dividing b.
 """
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import carmichael_lambda, factorize, is_prime, lambda_from_factors
 from .primes import primes_up_to
-
-log = logging.getLogger(__name__)
 
 
 class NoCrtSolutionError(ValueError):
     """The modulus and the order share a factor; the residue system is unsolvable."""
 
 
-@dataclass(frozen=True)
-class PseudoprimeVerdict:
+class PseudoprimeVerdict(NamedTuple):
     n: int
     base: int
     fermat: bool
@@ -146,7 +141,7 @@ def _factor_with(n: int, spf: array) -> dict[int, int]:
 
 def iter_prime_orders(b: int, lo: float, hi: int) -> Iterator[tuple[int, int]]:
     """(ell, ord_ell(b)) over primes ell in [lo, hi]; primes dividing b are
-    skipped and logged.
+    skipped.
 
     One SPF table up to hi finds the primes and factors every ell - 1; an
     empty range builds none.
@@ -159,7 +154,6 @@ def iter_prime_orders(b: int, lo: float, hi: int) -> Iterator[tuple[int, int]]:
         if spf[ell]:
             continue
         if b % ell == 0:
-            log.debug("skipping prime %d (divides base %d)", ell, b)
             continue
         yield ell, _order_dividing(b, ell, ell - 1, _factor_with(ell - 1, spf))
 
@@ -195,8 +189,7 @@ def product_tail_sum(b: int, t: float, cap: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class OrderStats:
+class OrderStats(NamedTuple):
     """The prime-order figures `order-stats` reports, from one pass."""
 
     census: dict[int, int]  # order_census(b, t)
@@ -246,8 +239,7 @@ def count_by_order(b: int, t: int, m: int) -> int:
     return sum(1 for o in _iter_modulus_orders(b, t) if o == m)
 
 
-@dataclass(frozen=True)
-class OrderLevelReport:
+class OrderLevelReport(NamedTuple):
     """Counts of moduli d <= t at each order level, with the t/sqrt(L(t))
     comparison flagged (never fatal: the threshold where it must hold is
     not effective at desk scale)."""

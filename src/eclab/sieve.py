@@ -9,8 +9,8 @@ test; at desk scales they exceed pi(x) and are flagged as vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import factorize
 from .census import FERMAT_BIT, CensusResult
@@ -100,8 +100,7 @@ def count_envelope(x: float, mode: str, eps: float = 0.0) -> float:
     raise ValueError(f"unknown envelope mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class SieveParams:
+class SieveParams(NamedTuple):
     y: float
     z: float
     # Raw values before clamping z up to y; at desk scales the named presets
@@ -155,8 +154,7 @@ def empirical_T(records, b: int, y: float, z: float, strict: bool = False) -> in
     return sum(1 for rec in records if sifted(rec.n) and fermat_holds(b, rec.n, strict))
 
 
-@dataclass(frozen=True)
-class SieveReport:
+class SieveReport(NamedTuple):
     x: float
     y: float
     z: float
@@ -170,7 +168,7 @@ class SieveReport:
     meta: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "meta": dict(self.meta)}
 
 
 def build_sieve_report(

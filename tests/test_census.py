@@ -106,6 +106,13 @@ def test_result_alignment_checked():
     with pytest.raises(ValueError):
         CensusResult(CURVE, 10, 2, False, [TraceRecord(2, -2, 5)], bytes(), [])
     with pytest.raises(ValueError):
+        CensusResult(
+            curve=CURVE, x=10, base=2, strict=False, records=[], verdicts=b"\0", skipped_bad=[]
+        )
+    aligned = CensusResult(CURVE, 10, 2, False, [TraceRecord(2, -2, 5)], bytes(1), [])
+    with pytest.raises(ValueError):
+        aligned._replace(verdicts=bytes())
+    with pytest.raises(ValueError):
         run_census(CURVE, 1)
 
 

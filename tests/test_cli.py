@@ -1,5 +1,4 @@
 """End-to-end command line checks: exit codes, artifacts, stdout formats."""
-import dataclasses
 import hashlib
 import json
 
@@ -412,9 +411,7 @@ def test_verify_classes_count_mismatch_exits_one(tmp_path, capsys, monkeypatch):
 def test_sieve_report_q_above_s_plus_t_exits_one(tmp_path, capsys, monkeypatch):
     wrap(
         monkeypatch, eclab.cli, "build_sieve_report",
-        lambda rep, *a: dataclasses.replace(
-            rep, empirical_Q=rep.empirical_S + rep.empirical_T + 1
-        ),
+        lambda rep, *a: rep._replace(empirical_Q=rep.empirical_S + rep.empirical_T + 1),
     )
     code, stdout, stderr = run(
         capsys, "sieve-report", "--x", "300", "--y", "5", "--z", "50", "--out", str(tmp_path)
@@ -432,9 +429,7 @@ def test_sieve_report_q_above_s_plus_t_exits_one(tmp_path, capsys, monkeypatch):
 def test_census_partition_failure_exits_one(tmp_path, capsys, monkeypatch):
     wrap(
         monkeypatch, eclab.cli, "summarize",
-        lambda summary, *a: dataclasses.replace(
-            summary, meta={**summary.meta, "partition_ok": False}
-        ),
+        lambda summary, *a: summary._replace(meta={**summary.meta, "partition_ok": False}),
     )
     code, stdout, stderr = run(
         capsys, "census", "--x", "300", "--threads", "1", "--out", str(tmp_path),
@@ -518,6 +513,15 @@ def test_malformed_curve_file_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_eclab_threads_exits_two(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("ECLAB_THREADS", value)
+    code, stdout, stderr = run(capsys, "census", "--x", "100", "--out", str(tmp_path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: ECLAB_THREADS must be a positive integer, got '{value}'\n"
 
 
 def test_io_errors_exit_three(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Point counting against exhaustive oracles, reductions, and the registry."""
+import pickle
 from math import gcd, isqrt
 
 import pytest
@@ -68,6 +69,21 @@ def test_singular_curve_rejected():
         WeierstrassCurve(0, 0, 0, 0, 0)
     with pytest.raises(SingularCurveError):
         WeierstrassCurve(0, 0, 0, -3, 2)  # disc = -16(4*(-27) + 27*4) = 0
+
+
+def test_curve_pickles_and_keeps_disc_consistent():
+    curve = get_curve("37a")
+    assert repr(curve) == (
+        "WeierstrassCurve(a1=0, a2=0, a3=1, a4=-1, a6=0, label='37a', cm=False, "
+        "serre_bound=74, disc=37)"
+    )
+    copy = pickle.loads(pickle.dumps(curve))
+    assert type(copy) is WeierstrassCurve
+    assert copy == curve and copy.disc == 37
+    moved = curve._replace(a6=1)
+    assert moved.disc == discriminant(0, 0, 1, -1, 1) and moved.label == "37a"
+    with pytest.raises(SingularCurveError):
+        WeierstrassCurve(0, 0, 0, -3, 1)._replace(a6=2)
 
 
 def test_count_points_hand_examples():

@@ -8,12 +8,14 @@ import pytest
 import eclab.sieve
 from eclab.census import FERMAT_BIT, PRIME_BIT, PSEUDO_BIT, CensusResult, run_census
 from eclab.curves import TraceRecord, get_curve
+from eclab.gl2 import class_density
 from eclab.primes import primes_up_to
 from eclab.pseudoprimes import fermat_holds
 from eclab.sieve import (
     EULER_GAMMA,
     EXP_EULER_GAMMA,
     SieveParams,
+    SieveReport,
     build_sieve_report,
     count_envelope,
     density_product,
@@ -47,6 +49,12 @@ def test_density_condition_a0():
     for p in primes_up_to(1000):
         w = sieve_density(p)
         assert 0 < w < p
+
+
+def test_weight_is_ell_times_class_density_at_zero():
+    # w(ell)/ell is the density of C_0(ell), the GL2 classes with ell | n(p)
+    for ell in primes_up_to(199):
+        assert sieve_density(ell) == ell * class_density(ell, 0)
 
 
 def test_density_product_literals():
@@ -262,6 +270,28 @@ def test_build_sieve_report():
         "empirical_Q",
         "meta",
     ]
+
+
+def test_sieve_report_to_dict_copies_meta():
+    report = SieveReport(
+        1000.0, 5.0, 50.0, 0.25, 1.5, 3.0, 4.0, 10, 2, 7, {"s": 2.0, "preset": None}
+    )
+    as_dict = report.to_dict()
+    assert list(as_dict.items()) == [
+        ("x", 1000.0),
+        ("y", 5.0),
+        ("z", 50.0),
+        ("V_y_z", 0.25),
+        ("F_s", 1.5),
+        ("envelope_uncond", 3.0),
+        ("envelope_grh", 4.0),
+        ("empirical_S", 10),
+        ("empirical_T", 2),
+        ("empirical_Q", 7),
+        ("meta", {"s": 2.0, "preset": None}),
+    ]
+    as_dict["meta"]["s"] = 3.0
+    assert report.meta == {"s": 2.0, "preset": None}
 
 
 def test_build_sieve_report_reads_census_verdicts(monkeypatch):
