@@ -1,18 +1,27 @@
 """Elliptic curves over Q, reductions mod p, and group-order computation.
 
-Point counting takes one path per prime: full enumeration for p in {2, 3}
-(no short Weierstrass model exists there) and baby-step/giant-step order
-finding inside the Hasse window for every p >= 5. The 2-torsion first pins
-n mod 2 or 4 (Cohen, GTM 138, Alg. 7.4.12): one Legendre symbol of the
-cubic's discriminant, and x^p mod the cubic when that is a square. The
-search then runs only over N = n0 (mod M), with Q = M*P in a baby table
-keyed on x alone, so one entry x(jQ) stands for both jQ and -jQ and one
-giant step covers 2m + 1 values of N. The first giant is a short multiple
-of the stride (2m + 1)Q, plus P at most. Points come from a deterministic
-x-walk, and their congruences are merged in closed form. When they leave
-the order ambiguous, the quadratic twist decides it; an exact character
-sum is the last resort. A separate exhaustive-enumeration oracle
-(naive_count) provides an independent check.
+Point counting takes one of three paths per prime: full enumeration for p in
+{2, 3} (no short Weierstrass model exists there), a closed form when the
+short model y^2 = x^3 + Ax + B has j = 0 (A = 0) or j = 1728 (B = 0), and
+baby-step/giant-step order finding inside the Hasse window otherwise.
+
+The closed form (Ireland & Rosen, Ch. 18, Thms 4 and 5) is n = p + 1 at the
+supersingular primes (p = 2 mod 3 for j = 0, p = 3 mod 4 for j = 1728).
+Elsewhere p = pi * conj(pi) splits in Z[w] or Z[i]; Cornacchia finds pi
+from a square root of -3 or -1, pi is made primary, and n = p + 1 +- Tr
+of pi times the conjugate of a sextic or quartic residue symbol, a unit
+read off one power of 4B or -A modulo p.
+
+For BSGS, the 2-torsion first pins n mod 2 or 4 (Cohen, GTM 138,
+Alg. 7.4.12): one Legendre symbol of the cubic's discriminant, and x^p mod
+the cubic when that is a square. The search then runs only over
+N = n0 (mod M), with Q = M*P in a baby table keyed on x alone, so one entry
+x(jQ) stands for both jQ and -jQ and one giant step covers 2m + 1 values of
+N. The first giant is a short multiple of the stride (2m + 1)Q, plus P at
+most. Points come from a deterministic x-walk, and their congruences are
+merged in closed form. When they leave the order ambiguous, the quadratic
+twist decides it; an exact character sum is the last resort. A separate
+exhaustive-enumeration oracle (naive_count) provides an independent check.
 """
 from __future__ import annotations
 
@@ -126,7 +135,7 @@ def count_points(rc: ReducedCurve) -> int:
         raise BadReductionError(f"bad reduction at {rc.p}")
     if rc.p <= 3:
         return _count_enumeration(rc)
-    return _count_bsgs(rc)
+    return _group_order_short(rc.p, *_short_model(rc))
 
 
 def naive_count(rc: ReducedCurve) -> int:
@@ -455,7 +464,7 @@ def _order_character_sum(p: int, a: int, b: int) -> int:
     return n
 
 
-def _group_order_short(p: int, a: int, b: int) -> int:
+def _group_order_bsgs(p: int, a: int, b: int) -> int:
     n0, M = _two_torsion_class(p, a, b)
     n = _order_search(p, a, b, n0, M, attempts=10)
     if n is not None:
@@ -475,9 +484,72 @@ def _group_order_short(p: int, a: int, b: int) -> int:
     return _order_character_sum(p, a, b)
 
 
-def _count_bsgs(rc: ReducedCurve) -> int:
-    a, b = _short_model(rc)
-    return _group_order_short(rc.p, a, b)
+def _cornacchia(p: int, r: int, d: int) -> tuple[int, int]:
+    """(x, y) with x^2 + d*y^2 = p, given r^2 = -d (mod p) (Cohen, Alg. 1.5.2)."""
+    u, v = p, min(r, p - r)
+    while v * v > p:
+        u, v = v, u % v
+    return v, isqrt((p - v * v) // d)
+
+
+def _order_j0(p: int, b: int) -> int:
+    """#E(F_p) for y^2 = x^3 + b, b != 0 (Ireland & Rosen, Ch. 18, Thm 4).
+
+    For p = 1 (mod 3), p = N(pi) with pi = A + Bw primary (A = 2, B = 0
+    mod 3), and n = p + 1 + Tr(conj(u) * pi) for the sixth root of unity u
+    = (4b / pi)_6, which is (4b)^((p-1)/6) mod p read through w = -A/B.
+    """
+    if p % 3 == 2:
+        return p + 1
+    e = (p - 1) // 3
+    c = 2
+    while (w := pow(c, e, p)) == 1:  # a cube root of unity other than 1
+        c += 1
+    x, y = _cornacchia(p, 2 * w + 1, 3)  # (2w + 1)^2 = -3
+    A, B = x + y, 2 * y  # x + y*sqrt(-3) = (x + y) + 2y*w
+    while A % 3 != 2 or B % 3:
+        A, B = B, B - A  # times -w
+    u = pow(4 * b, (p - 1) // 6, p)
+    g = A * pow(B, -1, p) % p  # -w mod pi
+    t = 1
+    while t != u:  # find u = (-w)^k, taking pi to pi * (1 + w)^k = pi * conj(u)
+        t = t * g % p
+        A, B = A - B, A
+    return p + 1 + 2 * A - B
+
+
+def _order_j1728(p: int, a: int) -> int:
+    """#E(F_p) for y^2 = x^3 + ax, a != 0 (Ireland & Rosen, Ch. 18, Thm 5).
+
+    For p = 1 (mod 4), p = N(pi) with pi = x + yi primary (pi = 1 mod
+    2 + 2i), and n = p + 1 - Tr(conj(u) * pi) for the fourth root of unity
+    u = (-a / pi)_4, which is (-a)^((p-1)/4) mod p read through i = -x/y.
+    """
+    if p % 4 == 3:
+        return p + 1
+    e = (p - 1) // 4
+    c = 2
+    while (i := pow(c, e, p)) * i % p != p - 1:  # c^e is +-1 for a residue c
+        c += 1
+    x, y = _cornacchia(p, i, 1)
+    while y % 2 or (x + y) % 4 != 1:
+        x, y = -y, x  # times i
+    u = pow(-a, e, p)
+    g = -x * pow(y, -1, p) % p  # i mod pi
+    t = 1
+    while t != u:  # find u = i^k, taking pi to pi * (-i)^k = pi * conj(u)
+        t = t * g % p
+        x, y = y, -x
+    return p + 1 - 2 * x
+
+
+def _group_order_short(p: int, a: int, b: int) -> int:
+    """#E(F_p) for y^2 = x^3 + ax + b with a, b reduced mod p, p >= 5."""
+    if not a:
+        return _order_j0(p, b)
+    if not b:
+        return _order_j1728(p, a)
+    return _group_order_bsgs(p, a, b)
 
 
 # -- curve sources --------------------------------------------------------

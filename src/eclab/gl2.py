@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import euler_phi, factorize, is_prime
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ENUMERATION_CAP = 64
 
@@ -132,6 +134,8 @@ def class_count_formula(ell: int, r: int) -> int:
 
 def class_density(ell: int, r: int) -> Fraction:
     """|C_r(ell)| / |GL2(F_ell)| as an exact rational."""
+    from fractions import Fraction
+
     return Fraction(class_count_formula(ell, r), gl2_order(ell))
 
 
@@ -182,6 +186,8 @@ def identity_lift_bound(ell: int, k: int) -> Fraction:
     inequalities in ratio_bounds_check stay valid regardless, because they
     only need the slack form ell^(3(k-1)) * (1 + ell^4/(ell^3-1)).
     """
+    from fractions import Fraction
+
     return Fraction(ell ** (3 * (k - 1) + 1) * ell**3, ell**3 - 1)
 
 
@@ -237,6 +243,8 @@ def ratio_bounds_check(ell: int, k: int, r: int) -> RatioBounds:
     """
     if not is_prime(ell) or k < 1:
         raise ValueError("need a prime ell and k >= 1")
+    from fractions import Fraction
+
     q = ell**k
     table = class_count_table(q)
     ratio = Fraction(table.counts[r % q], gl2_order(q))

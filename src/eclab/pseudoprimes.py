@@ -9,11 +9,13 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .arith import carmichael_lambda, factorize, is_prime, lambda_from_factors
 from .primes import primes_up_to
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NoCrtSolutionError(ValueError):
@@ -265,4 +267,6 @@ def pseudoprimes_below(b: int, limit: int) -> list[int]:
 
 def tail_sum_exact(b: int, t: float, cap: int) -> Fraction:
     """Exact rational tail sum, e.g. tail_sum_exact(2, 3, 7) = 1/6 + 1/20 + 1/21."""
+    from fractions import Fraction
+
     return sum((Fraction(1, ell * m) for ell, m in iter_prime_orders(b, t, cap)), Fraction(0))

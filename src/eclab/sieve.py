@@ -9,13 +9,15 @@ test; at desk scales they exceed pi(x) and are flagged as vacuous.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize
 from .census import FERMAT_BIT, CensusResult
 from .primes import primes_up_to
 from .pseudoprimes import fermat_holds
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Hard-coded to 18+ significant digits; a unit test recomputes gamma from an
 # Euler-Maclaurin series.
@@ -37,6 +39,8 @@ def _weight_terms(ell: int) -> tuple[int, int]:
 
 def sieve_density(ell: int, y: float = 1.0) -> Fraction:
     """w_y(ell): the density weight at a prime ell, zero below the floor y."""
+    from fractions import Fraction
+
     if ell < 2:
         raise ValueError("ell must be a prime >= 2")
     if ell < y:
@@ -62,6 +66,8 @@ def density_product(y: float, z: float) -> float:
 
 def euler_constant_product(cap: int) -> float:
     """Partial product of C = prod_p (1 - (p^2-p-1)/((p-1)^3 (p+1))) over p <= cap."""
+    from fractions import Fraction
+
     v = 1.0
     for p in primes_up_to(cap):
         v *= float(1 - Fraction(p * p - p - 1, (p - 1) ** 3 * (p + 1)))

@@ -1,5 +1,6 @@
 """Point counting against exhaustive oracles, reductions, and the registry."""
 import pickle
+import random
 from math import gcd, isqrt
 
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eclab import curves
+from eclab.arith import is_prime
+from eclab.census import run_census
 from eclab.curves import (
     BadReductionError,
     ReducedCurve,
     SingularCurveError,
     WeierstrassCurve,
-    _count_bsgs,
     _count_enumeration,
+    _group_order_bsgs,
     _jmul,
     _point_multiples_in_window,
     _short_model,
@@ -126,7 +129,7 @@ def test_bsgs_matches_naive_below_and_above_cutoff():
     for p in sample:
         rc = reduce_mod(curve, p)
         if rc.good:
-            assert _count_bsgs(rc) == naive_count(rc), p
+            assert _group_order_bsgs(p, *_short_model(rc)) == naive_count(rc), p
 
 
 def _check_two_torsion_class(rc: ReducedCurve, n: int) -> tuple[int, int]:
@@ -179,7 +182,8 @@ def test_character_sum_fallback_is_taken(monkeypatch, label, p):
     rc = reduce_mod(get_curve(label), p)
     searches = _spy(monkeypatch, "_order_search")
     fallback = _spy(monkeypatch, "_order_character_sum")
-    n = count_points(rc)
+    # 32a reduces to j = 1728, which count_points counts in closed form
+    n = _group_order_bsgs(p, *_short_model(rc)) if label == "32a" else count_points(rc)
     assert searches == [None, None]  # the curve and its twist both stay ambiguous
     assert fallback == [n]
     assert n == naive_count(rc)
@@ -206,6 +210,65 @@ def test_points_decide_together_by_crt(monkeypatch, label, p):
     n = count_points(rc)
     assert len(windows) >= 2 and all(len(ns) > 1 for ns in windows)
     assert searches == [n]  # decided without the twist
+    assert n == naive_count(rc)
+
+
+# -- the closed form at j = 0 (y^2 = x^3 + k) and j = 1728 (y^2 = x^3 + kx) --
+
+CLOSED_FORM_CURVES = [WeierstrassCurve(0, 0, 0, 0, k) for k in (1, -1, 2, -2, 3, 5, 7)] + [
+    WeierstrassCurve(0, 0, 0, k, 0) for k in (1, -1, 2, -2, 3, 5)
+]
+
+
+def test_closed_form_matches_naive_below_2000():
+    for curve in CLOSED_FORM_CURVES:
+        for p in primes_up_to(1999):
+            rc = reduce_mod(curve, p)
+            if p >= 5 and rc.good:
+                assert count_points(rc) == naive_count(rc), (curve.coefficients(), p)
+
+
+def _decade_sample(d: int, size: int = 200) -> list[int]:
+    """`size` primes drawn from [10^d, 10^(d+1)) by a fixed seed."""
+    rng = random.Random(d)
+    sample = set()
+    while len(sample) < size:
+        p = rng.randrange(10**d, 10 ** (d + 1))
+        if is_prime(p):
+            sample.add(p)
+    return sorted(sample)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_closed_form_matches_bsgs_by_decade(d):
+    for p in _decade_sample(d):
+        for curve in (WeierstrassCurve(0, 0, 0, 0, 2), WeierstrassCurve(0, 0, 0, -1, 0)):
+            rc = reduce_mod(curve, p)
+            assert count_points(rc) == _group_order_bsgs(p, *_short_model(rc)), (curve.a4, p)
+
+
+def test_census_of_x3_plus_2_makes_no_order_search(monkeypatch):
+    searches = _spy(monkeypatch, "_order_search")
+    closed = _spy(monkeypatch, "_order_j0")
+    result = run_census(WeierstrassCurve(0, 0, 0, 0, 2), 10**4, threads=1)
+    assert searches == []
+    assert closed == [r.n for r in result.records if r.p >= 5]
+    assert len(closed) == 1227  # pi(10^4) = 1229 primes, less 2 and 3 (both bad)
+
+
+# Non-CM curves whose reduction has j = 0 or 1728 take the closed form too.
+@pytest.mark.parametrize(
+    "label,p",
+    [("11a", 31), ("11a", 41), ("11a", 61), ("389a", 7), ("389a", 107), ("5077a", 5), ("5077a", 7)],
+)
+def test_non_cm_reductions_at_j_0_or_1728_take_the_closed_form(monkeypatch, label, p):
+    rc = reduce_mod(get_curve(label), p)
+    bsgs = _spy(monkeypatch, "_group_order_bsgs")
+    j0 = _spy(monkeypatch, "_order_j0")
+    j1728 = _spy(monkeypatch, "_order_j1728")
+    n = count_points(rc)
+    assert bsgs == []
+    assert j0 + j1728 == [n]
     assert n == naive_count(rc)
 
 
@@ -274,7 +337,8 @@ _OCTAVES = [
     coeffs=st.tuples(*[st.integers(-999, 999)] * 5),
     p=st.sampled_from(_OCTAVES).flatmap(st.sampled_from),
 )
-@example(coeffs=(0, 0, 0, -1, 0), p=29)  # 32a: the character sum decides
+@example(coeffs=(0, 0, 0, -1, 0), p=29)  # 32a: the j = 1728 closed form
+@example(coeffs=(0, 1, 1, -2, 0), p=11)  # 389a: the character sum decides
 @example(coeffs=(0, -1, 1, -10, -20), p=13)  # 11a: the twist decides
 def test_count_points_matches_enumeration_on_random_long_models(coeffs, p):
     try:

@@ -8,7 +8,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # Standard-library modules that cost a process several milliseconds to load
 # and that no run needs before it starts a process pool.
-NOT_AT_STARTUP = ("dataclasses", "inspect", "logging", "concurrent.futures", "multiprocessing")
+NOT_AT_STARTUP = (
+    "dataclasses", "inspect", "logging", "fractions", "concurrent.futures", "multiprocessing",
+)
 
 PROBE = """
 import json, sys
