@@ -18,14 +18,13 @@ the cubic when that is a square. The search then runs only over
 N = n0 (mod M), with Q = M*P in a baby table keyed on x alone, so one entry
 x(jQ) stands for both jQ and -jQ and one giant step covers 2m + 1 values of
 N. The first giant is a short multiple of the stride (2m + 1)Q, plus P at
-most. Points come from a deterministic x-walk, and their congruences are
-merged in closed form. When they leave the order ambiguous, the quadratic
-twist decides it; an exact character sum is the last resort. A separate
+most. Points come from deterministic x-walks on E and on its quadratic
+twist in turn, and their congruences are merged in closed form; an exact
+character sum decides only if both walks run dry. A separate
 exhaustive-enumeration oracle (naive_count) provides an independent check.
 """
 from __future__ import annotations
 
-from itertools import islice
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -423,20 +422,50 @@ def _point_multiples_in_window(
     return sorted(first + k * M for k in found if 0 <= k < K)
 
 
-def _order_search(
-    p: int, a: int, b: int, n0: int, M: int, attempts: int
-) -> int | None:
-    """Group order n = n0 (mod M) of y^2 = x^3 + ax + b, if some points pin it.
+def _order_character_sum(p: int, a: int, b: int) -> int:
+    e = (p - 1) // 2
+    n = p + 1
+    for x in range(p):
+        f = (x * x % p * x + a * x + b) % p
+        if f:
+            n += 1 if pow(f, e, p) == 1 else -1
+    return n
 
-    Each point P says n = N (mod lcm(M, ord P)) for any N it leaves; the
-    congruences are merged in closed form until one N of the Hasse window
-    is left.
+
+def _twist_points(p: int, a: int, b: int):
+    """_walk_points on the twist by d, the least non-residue, found lazily."""
+    d = 2
+    while pow(d, (p - 1) // 2, p) != p - 1:
+        d += 1
+    yield from _walk_points(p, a * d % p * d % p, b * d % p * d % p * d % p)
+
+
+def _group_order_bsgs(p: int, a: int, b: int) -> int:
+    """#E(F_p) for y^2 = x^3 + ax + b from points of E and its twist in turn.
+
+    Each point leaves the N = n0 (mod M) of the Hasse window that it kills,
+    n among them. The twist's order 2p + 2 - n is n0 (mod M) too (4 divides
+    2p + 2, and n0 = 1 only for M = 2), so a twist point's N stands for
+    n = 2p + 2 - N. The congruences merge in closed form until one N is left.
+    For p > 229, E or its twist has a point that leaves one (Mestre; Schoof,
+    JTNB 1995, Sec. 4); below that both walks can run dry, and an exact
+    character sum decides.
     """
+    n0, M = _two_torsion_class(p, a, b)
     half = isqrt(4 * p)
     lo, hi = p + 1 - half, p + 1 + half
     r, L = n0, M  # n = r (mod L)
-    for x1, y1, a1 in islice(_walk_points(p, a, b), attempts):
+    walks = [(False, _walk_points(p, a, b)), (True, _twist_points(p, a, b))]
+    while walks:  # E and the twist in turn; a walk that runs dry drops out
+        twist, walk = walks.pop(0)
+        pt = next(walk, None)
+        if pt is None:
+            continue
+        walks.append((twist, walk))
+        x1, y1, a1 = pt
         ns = _point_multiples_in_window(p, a1, x1, y1, lo, hi, n0, M)
+        if twist:
+            ns = [2 * p + 2 - N for N in reversed(ns)]
         if len(ns) == 1:
             return ns[0]
         if not ns:
@@ -451,36 +480,6 @@ def _order_search(
         n = lo + (r - lo) % L
         if n + L > hi:
             return n
-    return None
-
-
-def _order_character_sum(p: int, a: int, b: int) -> int:
-    e = (p - 1) // 2
-    n = p + 1
-    for x in range(p):
-        f = (x * x % p * x + a * x + b) % p
-        if f:
-            n += 1 if pow(f, e, p) == 1 else -1
-    return n
-
-
-def _group_order_bsgs(p: int, a: int, b: int) -> int:
-    n0, M = _two_torsion_class(p, a, b)
-    n = _order_search(p, a, b, n0, M, attempts=10)
-    if n is not None:
-        return n
-    # Ambiguous exponent: the quadratic twist's order determines ours,
-    # since the two always sum to 2p + 2 (= 0 mod 4), and the twist has the
-    # same 2-torsion roots up to scaling, so its class is -n0 (mod M).
-    d = 2
-    while pow(d, (p - 1) // 2, p) != p - 1:
-        d += 1
-    n_tw = _order_search(
-        p, a * d % p * d % p, b * d % p * d % p * d % p, -n0 % M, M, attempts=10
-    )
-    if n_tw is not None:
-        return 2 * p + 2 - n_tw
-    # exact but slow safety net for small p, where both groups can stay ambiguous
     return _order_character_sum(p, a, b)
 
 

@@ -174,43 +174,120 @@ def _spy(monkeypatch, name):
     return calls
 
 
-# Every builtin (curve, p) below 4096 where both searches stay ambiguous.
+def _spy_walks(monkeypatch):
+    """Replace curves._walk_points by a walk that records its arguments and
+    the points it yields, then None once it runs dry."""
+    walks = []
+    real = curves._walk_points
+
+    def spy(*args):
+        drawn = []
+        walks.append((args, drawn))
+        for pt in real(*args):
+            drawn.append(pt)
+            yield pt
+        drawn.append(None)
+
+    monkeypatch.setattr(curves, "_walk_points", spy)
+    return walks
+
+
+# Every builtin (curve, p) below 4096 where the walks on E and on its twist
+# both run dry.
 @pytest.mark.parametrize(
     "label,p", [("32a", 5), ("32a", 7), ("32a", 29), ("389a", 11), ("389a", 17)]
 )
 def test_character_sum_fallback_is_taken(monkeypatch, label, p):
     rc = reduce_mod(get_curve(label), p)
-    searches = _spy(monkeypatch, "_order_search")
+    walks = _spy_walks(monkeypatch)
+    windows = _spy(monkeypatch, "_point_multiples_in_window")
     fallback = _spy(monkeypatch, "_order_character_sum")
     # 32a reduces to j = 1728, which count_points counts in closed form
     n = _group_order_bsgs(p, *_short_model(rc)) if label == "32a" else count_points(rc)
-    assert searches == [None, None]  # the curve and its twist both stay ambiguous
+    assert len(walks) == 2 and all(drawn[-1] is None for _, drawn in walks)
+    assert len(windows) == sum(len(drawn) - 1 for _, drawn in walks)
     assert fallback == [n]
     assert n == naive_count(rc)
 
 
-def test_twist_branch_decides_11a_at_13(monkeypatch):
-    p = 13
-    rc = reduce_mod(get_curve("11a"), p)
-    searches = _spy(monkeypatch, "_order_search")
+def test_twist_draw_decides_37a_at_241(monkeypatch):
+    """Above Mestre's bound E's first point leaves two orders, and the next
+    draw, the first point of the twist, leaves one."""
+    p = 241
+    rc = reduce_mod(get_curve("37a"), p)
+    a, b = _short_model(rc)
+    walks = _spy_walks(monkeypatch)
+    windows = _spy(monkeypatch, "_point_multiples_in_window")
     fallback = _spy(monkeypatch, "_order_character_sum")
     n = count_points(rc)
-    assert len(searches) == 2 and searches[0] is None
-    assert n == 2 * p + 2 - searches[1]
+    d = least_nonresidue(p)
+    assert [args for args, _ in walks] == [(p, a, b), (p, a * d * d % p, b * d**3 % p)]
+    assert [len(drawn) for _, drawn in walks] == [1, 1]
+    assert len(windows) == 2 and len(windows[0]) > 1
+    assert windows[1] == [2 * p + 2 - n]  # the twist's order
     assert fallback == []
     assert n == naive_count(rc)
 
 
 # No single point leaves one order here; their merged congruences do.
-@pytest.mark.parametrize("label,p", [("37a", 131), ("389a", 19), ("11a", 127)])
+@pytest.mark.parametrize("label,p", [("37a", 2903), ("389a", 929), ("11a", 467)])
 def test_points_decide_together_by_crt(monkeypatch, label, p):
     rc = reduce_mod(get_curve(label), p)
     windows = _spy(monkeypatch, "_point_multiples_in_window")
-    searches = _spy(monkeypatch, "_order_search")
+    bsgs = _spy(monkeypatch, "_group_order_bsgs")
+    fallback = _spy(monkeypatch, "_order_character_sum")
     n = count_points(rc)
     assert len(windows) >= 2 and all(len(ns) > 1 for ns in windows)
-    assert searches == [n]  # decided without the twist
+    assert bsgs == [n]
+    assert fallback == []
     assert n == naive_count(rc)
+
+
+def test_walks_on_e_and_twist_decide_x3_plus_x2_minus_2x_in_four_draws(monkeypatch):
+    """y^2 = x(x - 1)(x + 2) at every BSGS prime 29 <= p < 30000. Ten draws
+    on E before the first on the twist took 11 or 12 at p = 47, 73, 97, 193."""
+    curve = WeierstrassCurve(0, 1, 0, -2, 0)
+    windows = _spy(monkeypatch, "_point_multiples_in_window")
+    fallback = _spy(monkeypatch, "_order_character_sum")
+    draws = {}
+    for p in primes_up_to(29999):
+        rc = reduce_mod(curve, p)
+        if p >= 29 and rc.good:
+            a, b = _short_model(rc)
+            assert a and b, p  # j is neither 0 nor 1728 here, so BSGS counts
+            windows.clear()
+            n = _group_order_bsgs(p, a, b)
+            assert (p + 1 - n) ** 2 <= 4 * p, p
+            draws[p] = len(windows)
+    assert len(draws) == 3236
+    assert max(draws.values()) <= 4
+    assert fallback == []
+
+
+def test_window_without_the_order_raises(monkeypatch):
+    rc = reduce_mod(get_curve("37a"), 241)
+    calls = []
+    monkeypatch.setattr(curves, "_point_multiples_in_window", lambda *args: calls.append(args) or [])
+    with pytest.raises(ArithmeticError, match="no group order"):
+        _group_order_bsgs(241, *_short_model(rc))
+    assert len(calls) == 1
+
+
+def test_residues_that_disagree_across_draws_raise(monkeypatch):
+    p = 241
+    a, b = _short_model(reduce_mod(get_curve("37a"), p))
+    n0, M = _two_torsion_class(p, a, b)
+    half = isqrt(4 * p)
+    r = p + 1 - half + (n0 - p - 1 + half) % M  # the least N = n0 (mod M) in the window
+    # E's point says n = r (mod 3M); the twist's point says n = r + M (mod 3M).
+    answers = iter([[r, r + 3 * M], [2 * p + 2 - r - 4 * M, 2 * p + 2 - r - M]])
+    calls = []
+    monkeypatch.setattr(
+        curves, "_point_multiples_in_window", lambda *args: calls.append(args) or next(answers)
+    )
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        _group_order_bsgs(p, a, b)
+    assert len(calls) == 2
 
 
 # -- the closed form at j = 0 (y^2 = x^3 + k) and j = 1728 (y^2 = x^3 + kx) --
@@ -248,10 +325,11 @@ def test_closed_form_matches_bsgs_by_decade(d):
 
 
 def test_census_of_x3_plus_2_makes_no_order_search(monkeypatch):
-    searches = _spy(monkeypatch, "_order_search")
+    bsgs = _spy(monkeypatch, "_group_order_bsgs")
+    windows = _spy(monkeypatch, "_point_multiples_in_window")
     closed = _spy(monkeypatch, "_order_j0")
     result = run_census(WeierstrassCurve(0, 0, 0, 0, 2), 10**4, threads=1)
-    assert searches == []
+    assert bsgs == [] and windows == []
     assert closed == [r.n for r in result.records if r.p >= 5]
     assert len(closed) == 1227  # pi(10^4) = 1229 primes, less 2 and 3 (both bad)
 
@@ -326,7 +404,8 @@ def test_point_multiples_in_window_is_exact():
 
 
 # Primes 5 <= p < 5000 drawn log-uniformly (an octave, then a prime in it),
-# so half the draws are p <= 229, where the twist and the character sum run.
+# so half the draws are p <= 229, below Mestre's bound, where both walks can
+# run dry.
 _OCTAVES = [
     [p for p in primes_up_to(4999) if p >= 5 and p.bit_length() == k] for k in range(3, 14)
 ]
@@ -338,8 +417,8 @@ _OCTAVES = [
     p=st.sampled_from(_OCTAVES).flatmap(st.sampled_from),
 )
 @example(coeffs=(0, 0, 0, -1, 0), p=29)  # 32a: the j = 1728 closed form
-@example(coeffs=(0, 1, 1, -2, 0), p=11)  # 389a: the character sum decides
-@example(coeffs=(0, -1, 1, -10, -20), p=13)  # 11a: the twist decides
+@example(coeffs=(0, 1, 1, -2, 0), p=11)  # 389a: both walks run dry, the character sum decides
+@example(coeffs=(0, -1, 1, -10, -20), p=13)  # 11a: the twist's first point decides
 def test_count_points_matches_enumeration_on_random_long_models(coeffs, p):
     try:
         curve = WeierstrassCurve(*coeffs)
