@@ -18,16 +18,10 @@ from math import isqrt
 from typing import NamedTuple
 
 from .arith import divisors, factorize, is_prime, prime_factors
-from .curves import (
-    BadReductionError,
-    TraceRecord,
-    WeierstrassCurve,
-    _reduce_unchecked,
-    _trace_reduced,
-)
+from .curves import TraceRecord, WeierstrassCurve, trace_records
 from .gl2 import class_density
 from .primes import DEFAULT_SEGMENT, iter_prime_segments
-from .pseudoprimes import fermat_holds, pomerance_scale, prime_order
+from .pseudoprimes import classify, pomerance_scale, prime_order
 
 FERMAT_BIT = 1
 PRIME_BIT = 2
@@ -63,34 +57,14 @@ class CensusResult(_CensusFields):
         return cls(*fields)
 
 
-def _verdict_byte(base: int, n: int, strict: bool) -> int:
-    fermat = fermat_holds(base, n, strict)
-    prime = is_prime(n)
-    v = 0
-    if fermat:
-        v |= FERMAT_BIT
-    if prime:
-        v |= PRIME_BIT
-    if fermat and not prime and n != 1:
-        v |= PSEUDO_BIT
-    return v
-
-
 def _census_chunk(task):
     """One segment of the census; top level so process pools can pickle it."""
     curve, primes, base, strict = task
-    records = []
-    verdicts = bytearray()
-    skipped = []
-    for p in primes:
-        try:
-            # sieve primes need no primality check
-            rec = _trace_reduced(_reduce_unchecked(curve, p))
-        except BadReductionError:
-            skipped.append(p)
-            continue
-        records.append(rec)
-        verdicts.append(_verdict_byte(base, rec.n, strict))
+    records, skipped = trace_records(curve, primes)
+    verdicts = bytearray(
+        FERMAT_BIT * v.fermat | PRIME_BIT * v.prime | PSEUDO_BIT * v.pseudoprime
+        for v in (classify(base, rec.n, strict) for rec in records)
+    )
     return records, verdicts, skipped
 
 

@@ -4,6 +4,9 @@ Point counting takes one of three paths per prime: full enumeration for p in
 {2, 3} (no short Weierstrass model exists there), a closed form when the
 short model y^2 = x^3 + Ax + B has j = 0 (A = 0) or j = 1728 (B = 0), and
 baby-step/giant-step order finding inside the Hasse window otherwise.
+The census counts through trace_records, which computes the integer short
+model A = -27 c4, B = -54 c6 once per task of primes and then reduces only
+A, B and the discriminant at each prime.
 
 The closed form (Ireland & Rosen, Ch. 18, Thms 4 and 5) is n = p + 1 at the
 supersingular primes (p = 2 mod 3 for j = 0, p = 3 mod 4 for j = 1728).
@@ -50,6 +53,15 @@ def _b_invariants(a1: int, a2: int, a3: int, a4: int, a6: int):
 def discriminant(a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
     b2, b4, b6, b8 = _b_invariants(a1, a2, a3, a4, a6)
     return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def _short_coefficients(a1: int, a2: int, a3: int, a4: int, a6: int):
+    """Integers (A, B) = (-27 c4, -54 c6): y^2 = x^3 + Ax + B is isomorphic
+    to the long model over F_p for every p >= 5."""
+    b2, b4, b6, _ = _b_invariants(a1, a2, a3, a4, a6)
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    return -27 * c4, -54 * c6
 
 
 class _CurveFields(NamedTuple):
@@ -112,20 +124,7 @@ class TraceRecord(NamedTuple):
 def reduce_mod(curve: WeierstrassCurve, p: int) -> ReducedCurve:
     if not is_prime(p):
         raise ValueError(f"reduction requires a prime, got {p}")
-    return _reduce_unchecked(curve, p)
-
-
-def _reduce_unchecked(curve: WeierstrassCurve, p: int) -> ReducedCurve:
-    """reduce_mod for a p the caller already knows to be prime (a sieve prime)."""
-    return ReducedCurve(
-        p,
-        curve.a1 % p,
-        curve.a2 % p,
-        curve.a3 % p,
-        curve.a4 % p,
-        curve.a6 % p,
-        curve.disc % p != 0,
-    )
+    return ReducedCurve(p, *(c % p for c in curve.coefficients()), curve.disc % p != 0)
 
 
 def count_points(rc: ReducedCurve) -> int:
@@ -156,17 +155,42 @@ def naive_count(rc: ReducedCurve) -> int:
     return total
 
 
+def trace_records(
+    curve: WeierstrassCurve, primes
+) -> tuple[list[TraceRecord], list[int]]:
+    """Records at the good primes of `primes`, in order, and the bad primes.
+
+    Every p must be prime; none is re-checked. The integer short model is
+    computed once per call, so each p >= 5 costs three reductions (A, B and
+    the discriminant) and one count. Raises ArithmeticError on a trace
+    outside the Hasse bound.
+    """
+    A, B = _short_coefficients(*curve.coefficients())
+    disc = curve.disc
+    records = []
+    bad = []
+    for p in primes:
+        if disc % p == 0:
+            bad.append(p)
+            continue
+        if p <= 3:
+            n = count_points(reduce_mod(curve, p))
+        else:
+            n = _group_order_short(p, A % p, B % p)
+        a = p + 1 - n
+        if a * a > 4 * p:
+            raise ArithmeticError(f"trace {a} at p={p} violates the Hasse bound")
+        records.append(TraceRecord(p, a, n))
+    return records, bad
+
+
 def trace_record(curve: WeierstrassCurve, p: int) -> TraceRecord:
-    return _trace_reduced(reduce_mod(curve, p))
-
-
-def _trace_reduced(rc: ReducedCurve) -> TraceRecord:
-    p = rc.p
-    n = count_points(rc)
-    a = p + 1 - n
-    if a * a > 4 * p:
-        raise ArithmeticError(f"trace {a} at p={p} violates the Hasse bound")
-    return TraceRecord(p, a, n)
+    if not is_prime(p):
+        raise ValueError(f"reduction requires a prime, got {p}")
+    records, bad = trace_records(curve, [p])
+    if bad:
+        raise BadReductionError(f"bad reduction at {p}")
+    return records[0]
 
 
 def _count_enumeration(rc: ReducedCurve) -> int:
@@ -187,11 +211,9 @@ _J_INF = (1, 1, 0)
 
 
 def _short_model(rc: ReducedCurve) -> tuple[int, int]:
-    """Coefficients (A, B) with E isomorphic to y^2 = x^3 + Ax + B, p >= 5."""
-    b2, b4, b6, _ = _b_invariants(rc.a1, rc.a2, rc.a3, rc.a4, rc.a6)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-    return (-27 * c4) % rc.p, (-54 * c6) % rc.p
+    """(A, B) of _short_coefficients reduced mod p, p >= 5."""
+    A, B = _short_coefficients(rc.a1, rc.a2, rc.a3, rc.a4, rc.a6)
+    return A % rc.p, B % rc.p
 
 
 def _jdbl(p: int, a: int, pt):

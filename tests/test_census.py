@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from eclab import census
+from eclab import census, curves
 from eclab.arith import is_prime
 from eclab.census import (
     FERMAT_BIT,
@@ -26,7 +26,13 @@ from eclab.census import (
     write_records_csv,
     write_summary_json,
 )
-from eclab.curves import TraceRecord, get_curve
+from eclab.curves import (
+    TraceRecord,
+    WeierstrassCurve,
+    get_curve,
+    naive_count,
+    reduce_mod,
+)
 from eclab.gl2 import class_density
 from eclab.primes import DEFAULT_SEGMENT, primes_up_to
 from eclab.pseudoprimes import pomerance_scale
@@ -144,6 +150,41 @@ def test_census_deterministic_across_workers(monkeypatch):
         assert one.skipped_bad == two.skipped_bad
         ps = [r.p for r in one.records]
         assert ps == sorted(ps) and sorted(ps + one.skipped_bad) == primes_up_to(x)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        get_curve("389a"),
+        get_curve("11a"),
+        get_curve("5077a"),
+        WeierstrassCurve(1, -1, 1, -3, 5),
+    ],
+    ids=["389a", "11a", "5077a", "1,-1,1,-3,5"],
+)
+def test_census_matches_naive_count_on_long_models(curve):
+    # a1, a2, a3 are not all zero, so the short model differs from the long
+    # one. The last curve has disc -7874 = -2 * 31 * 127: bad at 2, good at 3.
+    result = run_census(curve, 3000, threads=1)
+    primes = primes_up_to(3000)
+    assert result.skipped_bad == [p for p in primes if curve.disc % p == 0]
+    assert [rec.p for rec in result.records] == [p for p in primes if curve.disc % p]
+    for rec in result.records:
+        n = naive_count(reduce_mod(curve, rec.p))
+        assert rec == (rec.p, rec.p + 1 - n, n), rec.p
+
+
+def test_census_computes_short_model_once_per_task(monkeypatch):
+    calls = []
+    real = curves._short_coefficients
+    monkeypatch.setattr(
+        curves, "_short_coefficients", lambda *a: calls.append(a) or real(*a)
+    )
+    monkeypatch.setattr(census, "TASK_PRIMES", 100)
+    result = run_census(CURVE, 3000, threads=1)
+    # 430 primes in one segment make ceil(430 / 100) = 5 tasks
+    assert len(result.records) + len(result.skipped_bad) == 430
+    assert calls == [CURVE.coefficients()] * 5
 
 
 def order_scan(b, d):

@@ -446,15 +446,24 @@ def test_census_partition_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "records.csv").read_text().startswith(RECORDS_HEADER + "\n")
 
 
-def test_hasse_violation_exits_one(tmp_path, capsys, monkeypatch):
-    # A point count past the Hasse window makes the census's own
-    # _trace_reduced raise ArithmeticError at the first prime.
-    monkeypatch.setattr(eclab.curves, "count_points", lambda rc: 4 * rc.p + 1)
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("count_points", lambda rc: 4 * rc.p + 1, "trace -6 at p=2"),
+        ("_group_order_short", lambda p, a, b: 4 * p + 1, "trace -15 at p=5"),
+    ],
+    ids=["count_points", "_group_order_short"],
+)
+def test_hasse_violation_exits_one(tmp_path, capsys, monkeypatch, name, fake, message):
+    # A point count past the Hasse window makes curves.trace_records raise
+    # ArithmeticError: count_points serves p = 2 and 3, and the short model
+    # goes straight to _group_order_short at p >= 5.
+    monkeypatch.setattr(eclab.curves, name, fake)
     code, stdout, stderr = run(
         capsys, "census", "--x", "300", "--threads", "1", "--out", str(tmp_path)
     )
     assert code == 1
-    assert stderr == "invariant violated: trace -6 at p=2 violates the Hasse bound\n"
+    assert stderr == f"invariant violated: {message} violates the Hasse bound\n"
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
 
