@@ -58,6 +58,7 @@ from .gl2 import (
     identity_lift_count,
     lifting_check,
     predicted_class_count,
+    prime_class_counts,
     ratio_bounds_check,
 )
 from .primes import (

@@ -380,22 +380,8 @@ class CensusSummary(NamedTuple):
     meta: dict
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "curve_label": self.curve_label,
-            "base_b": self.base_b,
-            "twin": self.twin,
-            "pseu": self.pseu,
-            "Q": self.Q,
-            "unit_count": self.unit_count,
-            "skipped_bad": list(self.skipped_bad),
-            "s_classes": dict(self.s_classes),
-            "multiplicity": {
-                str(n): self.multiplicity[n] for n in sorted(self.multiplicity)
-            },
-            "second_moment": self.second_moment,
-            "meta": self.meta,
-        }
+        multiplicity = {str(n): self.multiplicity[n] for n in sorted(self.multiplicity)}
+        return {**self._asdict(), "multiplicity": multiplicity}
 
 
 def summarize(

@@ -39,7 +39,7 @@ from .pseudoprimes import (  # noqa: F401
     product_tail_sum,
     tail_sum,
 )
-from .sieve import build_sieve_report, preset_params
+from .sieve import build_sieve_report, count_envelope, linear_sieve_F, preset_params
 
 CLASSES_HEADER = "n,r,count,formula_count,match"
 ORDERS_HEADER = "m,count,bound,ok"
@@ -333,7 +333,6 @@ def _cmd_sieve_report(args) -> Report:
     curve = _load_curve(args)
     if args.y is not None and args.y >= args.z:
         raise UsageError(f"need y < z, got y={args.y} z={args.z}")
-    path = _out_path(args, "sieve.json")
     if args.y is not None:
         y, z = args.y, args.z
         preset_meta = {"preset": None}
@@ -345,6 +344,10 @@ def _cmd_sieve_report(args) -> Report:
             "raw_y": params.raw_y,
             "raw_z": params.raw_z,
         }
+    # The rules build_sieve_report applies after the census, checked before it.
+    linear_sieve_F(args.s)
+    count_envelope(args.x, "grh")
+    path = _out_path(args, "sieve.json")
     result = run_census(curve, args.x, base=args.base, strict=args.strict_fermat)
     preset_meta["curve"] = curve.label
     report = build_sieve_report(result, y, z, s=args.s, extra_meta=preset_meta)

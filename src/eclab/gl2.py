@@ -7,6 +7,11 @@ pairs (b, c) by product, then combines the two histograms with one
 big-integer multiplication (Kronecker substitution: each histogram is packed
 into an integer, one coefficient per fixed-width slot). Predictions and
 bounds use Fraction arithmetic.
+
+`prime_class_counts` is the one home of the closed forms at a prime ell:
+|C_0(ell)|, |C_1(ell)|, the other |C_r(ell)| and |GL2(F_ell)|. The sieve
+weight w(ell) = ell * |C_0(ell)| / |GL2(F_ell)| is read from it too, since
+C_0(ell) holds exactly the Frobenius classes with ell | n(p).
 """
 from __future__ import annotations
 
@@ -38,13 +43,23 @@ class ClassCountTable(NamedTuple):
     counts: tuple[int, ...]  # counts[r] = |C_r(n)|
 
 
+def prime_class_counts(ell: int) -> tuple[int, int, int, int]:
+    """(|C_0(ell)|, |C_1(ell)|, |C_r(ell)| for r != 0, 1, |GL2(F_ell)|).
+
+    Unchecked: ell must be prime. Index min(r % ell, 2) picks |C_r(ell)|.
+    """
+    sq = ell * ell
+    return (ell * (sq - 2), ell * (sq - ell - 1), ell * (sq - ell - 2),
+            (sq - 1) * (sq - ell))
+
+
 def gl2_order(n: int) -> int:
     """|GL2(Z/n)| from the prime-power closed form, multiplicatively."""
     if n < 1:
         raise ValueError("modulus must be >= 1")
     order = 1
     for ell, k in factorize(n).items():
-        order *= ell ** (4 * (k - 1)) * (ell * ell - 1) * (ell * ell - ell)
+        order *= ell ** (4 * (k - 1)) * prime_class_counts(ell)[3]
     return order
 
 
@@ -124,19 +139,14 @@ def class_count_formula(ell: int, r: int) -> int:
     """Closed form for |C_r(ell)| at a prime ell."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    r %= ell
-    if r == 0:
-        return ell * (ell * ell - 2)
-    if r == 1:
-        return ell * (ell * ell - ell - 1)
-    return ell * (ell * ell - ell - 2)
+    return prime_class_counts(ell)[min(r % ell, 2)]
 
 
 def class_density(ell: int, r: int) -> Fraction:
     """|C_r(ell)| / |GL2(F_ell)| as an exact rational."""
     from fractions import Fraction
 
-    return Fraction(class_count_formula(ell, r), gl2_order(ell))
+    return Fraction(class_count_formula(ell, r), prime_class_counts(ell)[3])
 
 
 def predicted_class_count(n: int, r: int) -> int | None:
@@ -147,14 +157,10 @@ def predicted_class_count(n: int, r: int) -> int | None:
         raise ValueError("modulus must be >= 2")
     total = 1
     for ell, k in factorize(n).items():
-        q = ell**k
-        rq = r % q
-        if k == 1:
-            total *= class_count_formula(ell, rq)
-        elif rq % ell != 0:
-            total *= ell ** (3 * (k - 1)) * class_count_formula(ell, rq % ell)
-        else:
+        r_ell = r % ell
+        if k > 1 and r_ell == 0:
             return None
+        total *= ell ** (3 * (k - 1)) * prime_class_counts(ell)[min(r_ell, 2)]
     return total
 
 

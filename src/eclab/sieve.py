@@ -1,10 +1,12 @@
 """Sieve densities, Euler products, and pseudoprime-count envelopes.
 
 The density system w_y assigns each prime ell >= y the weight
-ell(ell^2-2) / ((ell-1)(ell^2-1)) and 0 below y; V_y(z) is the standard
-sifting product over p < z. The envelopes evaluate the two headline upper
-bounds for the count of primes p <= x whose group order passes a Fermat
-test; at desk scales they exceed pi(x) and are flagged as vacuous.
+w(ell) = ell * |C_0(ell)| / |GL2(F_ell)| and 0 below y, where C_0(ell) is the
+set of Frobenius classes with ell | n(p). Both counts are read from
+`gl2.prime_class_counts`, so 1 - w(ell)/ell = (G - C_0)/G. V_y(z) is the
+standard sifting product over p < z. The envelopes evaluate the two headline
+upper bounds for the count of primes p <= x whose group order passes a
+Fermat test; at desk scales they exceed pi(x) and are flagged as vacuous.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize
 from .census import FERMAT_BIT, CensusResult
+from .gl2 import class_density, prime_class_counts
 from .primes import primes_up_to
 from .pseudoprimes import fermat_holds
 
@@ -32,45 +35,39 @@ def euler_gamma_series(terms: int = 100_000) -> float:
     return h - math.log(n) - 1 / (2 * n) + 1 / (12 * n * n) - 1 / (120 * n**4)
 
 
-def _weight_terms(ell: int) -> tuple[int, int]:
-    """(N, D) with w(ell) = N / D = ell(ell^2-2) / ((ell-1)(ell^2-1))."""
-    return ell * (ell * ell - 2), (ell - 1) * (ell * ell - 1)
-
-
 def sieve_density(ell: int, y: float = 1.0) -> Fraction:
-    """w_y(ell): the density weight at a prime ell, zero below the floor y."""
-    from fractions import Fraction
-
-    if ell < 2:
-        raise ValueError("ell must be a prime >= 2")
-    if ell < y:
-        return Fraction(0)
-    return Fraction(*_weight_terms(ell))
+    """w_y(ell) = ell * |C_0(ell)| / |GL2(F_ell)| at a prime ell, zero below
+    the floor y. Raises ValueError unless ell is prime."""
+    return (ell if ell >= y else 0) * class_density(ell, 0)
 
 
 def density_product(y: float, z: float) -> float:
     """V_y(z) = prod_{p < z} (1 - w_y(p)/p), double precision.
 
-    Each factor (D p - N) / (D p) is one integer true division, so it is
-    correctly rounded, the same double as the exact rational would give.
+    Each factor (G - C_0) / G, with C_0 = |C_0(p)| and G = |GL2(F_p)|, is one
+    integer true division, so it is correctly rounded, the same double as the
+    exact rational would give.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
     v = 1.0
     for p in primes_up_to(max(0, math.ceil(z) - 1)):
         if p >= y:
-            num, den = _weight_terms(p)
-            v *= (den * p - num) / (den * p)
+            c0, _, _, g = prime_class_counts(p)
+            v *= (g - c0) / g
     return v
 
 
 def euler_constant_product(cap: int) -> float:
-    """Partial product of C = prod_p (1 - (p^2-p-1)/((p-1)^3 (p+1))) over p <= cap."""
-    from fractions import Fraction
+    """Partial product over p <= cap of C = prod_p (1 - w_1(p)/p) / (1 - 1/p).
 
+    Each factor (G - C_0) p / (G (p - 1)) is one correctly rounded integer
+    true division.
+    """
     v = 1.0
     for p in primes_up_to(cap):
-        v *= float(1 - Fraction(p * p - p - 1, (p - 1) ** 3 * (p + 1)))
+        c0, _, _, g = prime_class_counts(p)
+        v *= (g - c0) * p / (g * (p - 1))
     return v
 
 

@@ -488,6 +488,24 @@ def test_usage_errors(tmp_path, capsys):
         assert "error" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--x", "100000", "--y", "5", "--z", "50", "--s", "5"),
+    ("--x", "300", "--y", "5", "--z", "50", "--s", "0"),
+    ("--x", "10", "--y", "2", "--z", "5"),
+    ("--x", "10"),
+])
+def test_sieve_report_rejects_bad_input_before_counting(tmp_path, capsys, monkeypatch, argv):
+    def counted(*args, **kwargs):
+        raise AssertionError("run_census ran before the input was checked")
+
+    monkeypatch.setattr(eclab.cli, "run_census", counted)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, "sieve-report", *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ")
+    assert not out.exists()
+
+
 def test_argparse_level_errors(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["census", "--x", "100", "--bogus-flag"])

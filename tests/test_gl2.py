@@ -16,6 +16,7 @@ from eclab.gl2 import (
     identity_lift_count,
     lifting_check,
     predicted_class_count,
+    prime_class_counts,
     ratio_bounds_check,
 )
 from eclab.gl2 import _SLOT_BYTES, _SLOT_TYPECODE, _correlations, _histograms
@@ -107,9 +108,11 @@ def test_closed_form_matches_enumeration(ell):
     table = class_count_table(ell)
     for r in range(ell):
         assert table.counts[r] == class_count_formula(ell, r)
+    assert prime_class_counts(ell)[3] == table.group_order
 
 
 def test_closed_form_literals():
+    assert prime_class_counts(5) == (115, 95, 90, 480)
     assert class_count_table(2).counts == (4, 2)
     assert class_count_table(3).counts[0] == 21
     assert class_count_table(5).counts == (115, 95, 90, 90, 90)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import eclab.arith as arith
 import eclab.pseudoprimes as pseudoprimes
 from eclab.arith import factorize
 from eclab.pseudoprimes import (
@@ -127,6 +128,31 @@ def test_multiplicative_order_matches_scan():
             if math.gcd(b, d) != 1:
                 continue
             assert multiplicative_order(b, d) == order_by_scan(b, d), (b, d)
+
+
+def test_pollard_rho_failure_is_an_arithmetic_error():
+    # a prime has no nontrivial factor, so every increment c exhausts
+    with pytest.raises(ArithmeticError, match="^failed to split 1009$"):
+        arith._pollard_rho(1009)
+
+
+def test_multiplicative_order_falls_back_to_scan_when_factoring_fails(monkeypatch):
+    d = 1009 * 1013  # survives every trial prime, so lambda(d) needs Pollard rho
+    expected = multiplicative_order(2, d)
+    scans = []
+    scan_real = pseudoprimes._order_scan
+
+    def failing_rho(n):
+        raise ArithmeticError(f"failed to split {n}")
+
+    def spy_scan(b, m):
+        scans.append((b, m))
+        return scan_real(b, m)
+
+    monkeypatch.setattr(arith, "_pollard_rho", failing_rho)
+    monkeypatch.setattr(pseudoprimes, "_order_scan", spy_scan)
+    assert multiplicative_order(2, d) == expected == order_by_scan(2, d)
+    assert scans == [(2, d)]
 
 
 def test_multiplicative_order_requires_coprime():

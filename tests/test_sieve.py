@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import eclab.gl2
 import eclab.sieve
 from eclab.census import FERMAT_BIT, PRIME_BIT, PSEUDO_BIT, CensusResult, run_census
 from eclab.curves import TraceRecord, get_curve
@@ -42,6 +43,8 @@ def test_density_literals():
     assert sieve_density(5, y=7) == Fraction(0)
     with pytest.raises(ValueError):
         sieve_density(1)
+    with pytest.raises(ValueError):
+        sieve_density(4)  # the weight is defined at primes only
 
 
 def test_density_condition_a0():
@@ -107,6 +110,29 @@ def test_constant_partial_products():
         diffs.append(abs(euler_constant_product(cap) - euler_constant_product(2 * cap)))
         assert diffs[-1] < 3 / cap
     assert diffs == sorted(diffs, reverse=True)
+
+
+def fraction_constant_product(cap) -> float:
+    """C's partial product as one exact Fraction per prime, each rounded to a double."""
+    v = 1.0
+    for p in primes_up_to(cap):
+        v *= float(1 - Fraction(p * p - p - 1, (p - 1) ** 3 * (p + 1)))
+    return v
+
+
+@pytest.mark.parametrize("cap", [2, 3, 100, 1000, 10**4])
+def test_constant_product_matches_fraction_product(cap):
+    assert euler_constant_product(cap) == fraction_constant_product(cap)
+
+
+def test_products_never_test_or_factor_their_primes(monkeypatch):
+    def forbidden(n):
+        raise AssertionError(f"per-prime loop re-checked {n}")
+
+    monkeypatch.setattr(eclab.gl2, "is_prime", forbidden)
+    monkeypatch.setattr(eclab.gl2, "factorize", forbidden)
+    assert density_product(1, 10**4) == fraction_density_product(1, 10**4)
+    assert euler_constant_product(10**4) == fraction_constant_product(10**4)
 
 
 def test_per_prime_factor_identity():
