@@ -1,8 +1,12 @@
 """Census of elliptic-curve group orders n(p) = p + 1 - a_p over primes p <= x.
 
-Each good prime contributes one record (p, a_p, n) plus a verdict byte:
-bit 0 set when n passes the Fermat test for the chosen base, bit 1 when n is
-prime, bit 2 when n is a Fermat pseudoprime (passes, composite, n != 1).
+Each good prime contributes one row to three array('q') columns p, a_p and
+n, plus a verdict byte: bit 0 set when n passes the Fermat test for the
+chosen base, bit 1 when n is prime, bit 2 when n is a Fermat pseudoprime
+(passes, composite, n != 1). A row costs 25 bytes from the counting loop to
+the writers; no per-prime object is built. A pool keeps at most two tasks
+per worker in flight, and the multiplicity count holds only the orders
+still inside the Hasse window, so memory grows with the columns alone.
 Counting is deterministic, so worker count never changes the output.
 """
 from __future__ import annotations
@@ -11,8 +15,8 @@ import json
 import math
 import os
 from array import array
-from bisect import bisect_left, bisect_right
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, deque
 from contextlib import nullcontext
 from math import isqrt
 from typing import NamedTuple
@@ -29,6 +33,8 @@ PSEUDO_BIT = 4
 
 # primes per census task: small enough that a pool's workers finish together
 TASK_PRIMES = 2048
+# tasks a pool may hold per worker, submitted and not yet consumed
+TASKS_PER_WORKER = 2
 
 
 class _CensusFields(NamedTuple):
@@ -36,39 +42,56 @@ class _CensusFields(NamedTuple):
     x: int
     base: int
     strict: bool
-    records: list[TraceRecord]
-    verdicts: bytearray
+    p: array  # good primes, increasing
+    a_p: array  # trace of Frobenius at each p
+    n: array  # group order p + 1 - a_p at each p
+    verdicts: bytearray  # one verdict byte per p
     skipped_bad: list[int]
 
 
 class CensusResult(_CensusFields):
-    """Raw census output: records in increasing p, verdicts aligned by index."""
+    """Raw census output: columns p, a_p, n and verdicts aligned by index."""
 
     __slots__ = ()
 
-    def __new__(cls, curve, x, base, strict, records, verdicts, skipped_bad):
-        if len(records) != len(verdicts):
-            raise ValueError("records and verdicts must align")
-        return super().__new__(cls, curve, x, base, strict, records, verdicts, skipped_bad)
+    def __new__(cls, curve, x, base, strict, p, a_p, n, verdicts, skipped_bad):
+        if not len(p) == len(a_p) == len(n) == len(verdicts):
+            raise ValueError("p, a_p, n and verdicts must align")
+        return super().__new__(cls, curve, x, base, strict, p, a_p, n, verdicts, skipped_bad)
 
     @classmethod
     def _make(cls, fields):
         """Build through __new__, so _replace checks the alignment too."""
         return cls(*fields)
 
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The rows as TraceRecords, built anew on each access: a read-only
+        view for callers written against the record API. No census path
+        reads it."""
+        return list(map(TraceRecord, self.p, self.a_p, self.n))
+
 
 def _census_chunk(task):
-    """One segment of the census; top level so process pools can pickle it."""
+    """One task of the census; top level so process pools can pickle it.
+
+    Returns the p, a_p and n columns, the verdict bytes and the bad primes.
+    """
     curve, primes, base, strict = task
-    records, skipped = trace_records(curve, primes)
+    ps, aps, ns, skipped = trace_records(curve, primes)
     verdicts = bytearray(
         FERMAT_BIT * v.fermat | PRIME_BIT * v.prime | PSEUDO_BIT * v.pseudoprime
-        for v in (classify(base, rec.n, strict) for rec in records)
+        for v in (classify(base, n, strict) for n in ns)
     )
-    return records, verdicts, skipped
+    return ps, aps, ns, verdicts, skipped
 
 
-def _worker_count(threads: int | None) -> int:
+def worker_count(threads: int | None = None) -> int:
+    """Census workers: `threads`, else $ECLAB_THREADS, else the CPU count.
+
+    Raises ValueError on a count below 1 or a malformed variable, so a
+    caller can reject the count before it creates any output.
+    """
     if threads is None:
         env = os.environ.get("ECLAB_THREADS")
         if not env:
@@ -84,6 +107,26 @@ def _worker_count(threads: int | None) -> int:
     return threads
 
 
+def _windowed(pool, tasks, window: int):
+    """_census_chunk over `tasks` in `pool`, results in task order.
+
+    At most `window` tasks are submitted and not yet consumed, and the next
+    task is drawn only when it is submitted. If a task raised, the tasks
+    still pending are cancelled and the error propagates.
+    """
+    pending = deque()
+    try:
+        for task in tasks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_census_chunk, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run_census(
     curve: WeierstrassCurve,
     x: int,
@@ -95,19 +138,21 @@ def run_census(
     """Count points at every prime p <= x and classify each group order.
 
     Each segment's primes go out in tasks of at most TASK_PRIMES, so the
-    process pool of threads > 1 (default: the ECLAB_THREADS environment
-    variable) stays balanced even when x spans only a segment or two. Task
-    results are concatenated in order, so output is independent of threads.
+    process pool of threads > 1 (default: see worker_count) stays balanced
+    even when x spans only a segment or two. A segment is sieved only when
+    its first task is submitted, and the pool holds at most TASKS_PER_WORKER
+    tasks per worker. Task results are concatenated in order, so output is
+    independent of threads.
     """
     if x < 2:
         raise ValueError(f"census needs x >= 2, got {x}")
-    workers = _worker_count(threads)
+    workers = worker_count(threads)
     tasks = (
         (curve, seg.primes[i : i + TASK_PRIMES], base, strict)
         for seg in iter_prime_segments(x, segment_len)
         for i in range(0, len(seg.primes), TASK_PRIMES)
     )
-    records: list[TraceRecord] = []
+    ps, aps, ns = array("q"), array("q"), array("q")
     verdicts = bytearray()
     skipped: list[int] = []
     if workers > 1:
@@ -116,15 +161,18 @@ def run_census(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(workers)
+        chunks = _windowed(pool, tasks, TASKS_PER_WORKER * workers)
     else:
         pool = nullcontext()
+        chunks = map(_census_chunk, tasks)
     with pool:
-        chunks = pool.map(_census_chunk, tasks) if workers > 1 else map(_census_chunk, tasks)
-        for recs, bits, skip in chunks:
-            records.extend(recs)
+        for chunk_p, chunk_a, chunk_n, bits, skip in chunks:
+            ps.extend(chunk_p)
+            aps.extend(chunk_a)
+            ns.extend(chunk_n)
             verdicts.extend(bits)
             skipped.extend(skip)
-    return CensusResult(curve, x, base, strict, records, verdicts, skipped)
+    return CensusResult(curve, x, base, strict, ps, aps, ns, verdicts, skipped)
 
 
 # -- pseudoprime decomposition ------------------------------------------------
@@ -213,10 +261,9 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
     members: dict[str, set] = {name: set() for name in counts}
     s4_heavy = s4_rest = s4_window = 0
     win_lo, win_hi = x ** (1 / 18), x ** (1 / 17)
-    for rec, v in zip(result.records, result.verdicts):
+    for n, v in zip(result.n, result.verdicts):
         if not v & PSEUDO_BIT:
             continue
-        n = rec.n
         labels = label_cache.get(n)
         if labels is None:
             labels = label_cache[n] = _classify_pseudoprime(n, x, base, L)
@@ -297,10 +344,11 @@ def congruence_stats(
 class MultiplicityStats(NamedTuple):
     """How often each group order value repeats across primes.
 
-    table holds only orders hit at least twice. Every repeated value is
-    checked against a prime-counting ceiling: all p with n(p) = n satisfy
-    |p - n| <= isqrt(81 n) + 1, so the multiplicity is at most the number
-    of primes in that window (plus one for slack at the endpoints).
+    table holds only orders hit at least twice, in increasing n. Every
+    repeated value is checked against a prime-counting ceiling: all p with
+    n(p) = n satisfy |p - n| <= isqrt(81 n) + 1, so the multiplicity is at
+    most the number of primes in that window (plus one for slack at the
+    endpoints).
     """
 
     table: dict  # n -> multiplicity, only entries >= 2
@@ -312,18 +360,31 @@ class MultiplicityStats(NamedTuple):
 
 
 def _prime_window_counts(values: list[int]) -> dict[int, int]:
-    """Number of primes within isqrt(81 n) + 1 of each n."""
+    """Number of primes within isqrt(81 n) + 1 of each n in `values`.
+
+    Each count is pi(n + w) - pi(n - w - 1), read at the sorted window ends
+    while the primes stream past one segment at a time, so no list of
+    primes is held.
+    """
     if not values:
         return {}
-    nmax = max(values)
-    cap = nmax + isqrt(81 * nmax) + 1
-    primes = array("q")
-    for seg in iter_prime_segments(cap):
-        primes.extend(seg.primes)
+    below = {}  # window end -> number of primes below it
+    for n in values:
+        w = isqrt(81 * n) + 1
+        below[n - w] = below[n + w + 1] = 0
+    ends = sorted(below)
+    i = seen = 0
+    for seg in iter_prime_segments(ends[-1] - 1):
+        while i < len(ends) and ends[i] < seg.hi:
+            below[ends[i]] = seen + bisect_left(seg.primes, ends[i])
+            i += 1
+        seen += len(seg.primes)
+    for end in ends[i:]:
+        below[end] = seen
     out = {}
     for n in values:
         w = isqrt(81 * n) + 1
-        out[n] = bisect_right(primes, n + w) - bisect_left(primes, n - w)
+        out[n] = below[n + w + 1] - below[n - w]
     return out
 
 
@@ -340,14 +401,52 @@ def _fit_slope(points: list[tuple[float, float]]) -> float | None:
     return math.fsum((u - mx) * (v - my) for u, v in zip(xs, ys)) / den
 
 
-def multiplicity_stats(records) -> MultiplicityStats:
-    counter = Counter(rec.n for rec in records)
-    table = {n: m for n, m in counter.items() if m >= 2}
-    second = sum(m * m for m in counter.values())
-    pairs = sum(m * (m - 1) for m in counter.values())
-    window = _prime_window_counts(sorted(table))
+def multiplicity_stats(ps, ns) -> MultiplicityStats:
+    """Multiplicities of the orders ns[i] at the primes ps[i], read in order.
+
+    The rows come in increasing p, and every later row has
+    n(p') >= p' + 1 - 2 sqrt(p') > p - 1 - 2 isqrt(p) by Hasse. So the count
+    of an order at or below that floor is final: it leaves the open counts
+    for the table, the second moment and the pair count, and the open
+    counts span only the Hasse window. Raises ValueError on a row whose n
+    lies at or below a floor already passed.
+    """
+    # Imported here, so the commands that never count points do not load it.
+    from heapq import heappop, heappush
+
+    table = {}
+    second = pairs = 0
+    open_counts: dict[int, int] = {}
+    heap: list[int] = []  # the keys of open_counts
+
+    def close(n):
+        nonlocal second, pairs
+        m = open_counts.pop(n)
+        second += m * m
+        pairs += m * (m - 1)
+        if m >= 2:
+            table[n] = m
+
+    floor = -2  # the least p - 1 - 2 isqrt(p) over p >= 0
+    for p, n in zip(ps, ns):
+        f = p - 1 - 2 * isqrt(p)
+        if f > floor:
+            floor = f
+            while heap and heap[0] <= floor:
+                close(heappop(heap))
+        if n <= floor:
+            raise ValueError(f"order {n} at p={p} lies below the Hasse floor {floor}")
+        m = open_counts.get(n)
+        if m is None:
+            open_counts[n] = 1
+            heappush(heap, n)
+        else:
+            open_counts[n] = m + 1
+    for n in sorted(heap):
+        close(n)
+    window = _prime_window_counts(list(table))
     failures = tuple(
-        (n, m, 1 + window[n]) for n, m in sorted(table.items()) if m > 1 + window[n]
+        (n, m, 1 + window[n]) for n, m in table.items() if m > 1 + window[n]
     )
     delta = _fit_slope(
         [(math.log(n), math.log(m)) for n, m in table.items() if n > 1]
@@ -391,29 +490,27 @@ def summarize(
 ) -> CensusSummary:
     """Aggregate counts, decomposition, and multiplicity diagnostics.
 
-    Everything here is a pure function of the census records, so repeated
+    Everything here is a pure function of the census columns, so repeated
     runs (any worker count) serialize to identical bytes.
     """
     if decomposition is None:
         decomposition = decompose_pseudoprimes(result)
-    twin = pseu = q = unit = fermat_primes = 0
-    for rec, v in zip(result.records, result.verdicts):
-        if v & PRIME_BIT:
-            twin += 1
-            if v & FERMAT_BIT:
-                fermat_primes += 1
-        if v & PSEUDO_BIT:
-            pseu += 1
-        if v & FERMAT_BIT:
-            q += 1
-        if rec.n == 1:
-            unit += 1
-    mult = multiplicity_stats(result.records)
+    tally = Counter(result.verdicts)  # verdict byte -> rows
+
+    def having(bits: int) -> int:
+        return sum(c for v, c in tally.items() if v & bits == bits)
+
+    twin = having(PRIME_BIT)
+    fermat_primes = having(PRIME_BIT | FERMAT_BIT)
+    pseu = having(PSEUDO_BIT)
+    q = having(FERMAT_BIT)
+    unit = result.n.count(1)
+    mult = multiplicity_stats(result.p, result.n)
     x = result.x
     cm_reference = x / math.log(x) ** 0.9
     meta = {
         "strict_fermat": result.strict,
-        "good_count": len(result.records),
+        "good_count": len(result.n),
         "fermat_prime_count": fermat_primes,
         "partition_ok": q == fermat_primes + pseu + unit,
         "twin_le_Q": twin <= q,  # must hold in the default Fermat mode
@@ -422,7 +519,7 @@ def summarize(
         "L_clamped": decomposition.L == 1.0,
         "multiplicity_ceiling_ok": mult.ceiling_ok,
         "max_multiplicity": max(
-            mult.table.values(), default=1 if result.records else 0
+            mult.table.values(), default=1 if result.n else 0
         ),
         "fitted_delta": mult.fitted_delta,
         "collision_pairs": mult.collision_pairs,
@@ -454,13 +551,12 @@ RECORDS_HEADER = "p,a_p,n,is_prime,is_pseudoprime,fermat"
 
 
 def write_records_csv(result: CensusResult, path: str) -> None:
+    # the is_prime, is_pseudoprime, fermat cells of each verdict byte
+    flags = [f",{(v >> 1) & 1},{(v >> 2) & 1},{v & 1}\n" for v in range(8)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RECORDS_HEADER + "\n")
-        for rec, v in zip(result.records, result.verdicts):
-            fh.write(
-                f"{rec.p},{rec.a_p},{rec.n},"
-                f"{(v >> 1) & 1},{(v >> 2) & 1},{v & 1}\n"
-            )
+        for p, a, n, v in zip(result.p, result.a_p, result.n, result.verdicts):
+            fh.write(f"{p},{a},{n}{flags[v]}")
 
 
 def write_summary_json(summary: CensusSummary, path: str) -> None:

@@ -19,6 +19,7 @@ from .census import (
     decompose_pseudoprimes,
     run_census,
     summarize,
+    worker_count,
     write_records_csv,
     write_summary_json,
 )
@@ -214,9 +215,10 @@ def _cmd_census(args) -> Report:
     if args.x < 2:
         raise UsageError(f"--x must be at least 2, got {args.x}")
     curve = _load_curve(args)
+    workers = worker_count(args.threads)
     paths = [_out_path(args, "records.csv"), _out_path(args, "summary.json")]
     result = run_census(
-        curve, args.x, base=args.base, strict=args.strict_fermat, threads=args.threads
+        curve, args.x, base=args.base, strict=args.strict_fermat, threads=workers
     )
     dec = decompose_pseudoprimes(result)
     extra = {"pomerance": dec.to_dict()} if args.pomerance else None
@@ -347,8 +349,11 @@ def _cmd_sieve_report(args) -> Report:
     # The rules build_sieve_report applies after the census, checked before it.
     linear_sieve_F(args.s)
     count_envelope(args.x, "grh")
+    workers = worker_count()
     path = _out_path(args, "sieve.json")
-    result = run_census(curve, args.x, base=args.base, strict=args.strict_fermat)
+    result = run_census(
+        curve, args.x, base=args.base, strict=args.strict_fermat, threads=workers
+    )
     preset_meta["curve"] = curve.label
     report = build_sieve_report(result, y, z, s=args.s, extra_meta=preset_meta)
     payload = report.to_dict()

@@ -84,6 +84,16 @@ def linear_sieve_F(s: float) -> float:
     return 2 * EXP_EULER_GAMMA / s
 
 
+def _iterated_logs(x: float, error: str) -> tuple[float, float, float]:
+    """log x, loglog x and logloglog x. Raises ValueError(error) unless
+    x > e^e, where all three are positive."""
+    if x <= math.exp(math.e):
+        raise ValueError(error)
+    lx = math.log(x)
+    llx = math.log(lx)
+    return lx, llx, math.log(llx)
+
+
 def count_envelope(x: float, mode: str, eps: float = 0.0) -> float:
     """Headline upper-bound envelope for the Fermat-passing prime count.
 
@@ -91,11 +101,7 @@ def count_envelope(x: float, mode: str, eps: float = 0.0) -> float:
     mode 'grh':           (28 e^gamma + eps) x loglog x / (log x)^2.
     Requires x > e^e so the iterated logs are positive.
     """
-    if x <= math.exp(math.e):
-        raise ValueError("envelope needs x > e^e")
-    lx = math.log(x)
-    llx = math.log(lx)
-    lllx = math.log(llx)
+    lx, llx, lllx = _iterated_logs(x, "envelope needs x > e^e")
     if mode == "unconditional":
         return (48 * EXP_EULER_GAMMA + eps) * x * lllx / (lx * llx)
     if mode == "grh":
@@ -117,11 +123,7 @@ def preset_params(x: float, mode: str) -> SieveParams:
     """The named (y, z) choices. 'unconditional': y = (loglog x)^2 logloglog x,
     z = (log x)^(1/24) / loglog x. 'grh': y = (log x)^2 loglog x,
     z = x^(1/14) / log x. z is clamped up to y so [y, z) is at worst empty."""
-    if x <= math.exp(math.e):
-        raise ValueError("presets need x > e^e")
-    lx = math.log(x)
-    llx = math.log(lx)
-    lllx = math.log(llx)
+    lx, llx, lllx = _iterated_logs(x, "presets need x > e^e")
     if mode == "unconditional":
         y = llx * llx * lllx
         z = lx ** (1 / 24) / llx
@@ -183,22 +185,22 @@ def build_sieve_report(
 ) -> SieveReport:
     """Assemble the densities, envelopes, and empirical S/T/Q counts of a census.
 
-    Q counts every record whose verdict has FERMAT_BIT; S counts records
-    whose n survives sifting by the primes in [y, z); T counts sifted-out
-    records that still pass. x, pi(x), the base and the Fermat mode are the
-    census's own. Q <= S + T holds by case split on each record.
+    Q counts every row whose verdict has FERMAT_BIT; S counts rows whose n
+    survives sifting by the primes in [y, z); T counts sifted-out rows that
+    still pass. x, pi(x), the base and the Fermat mode are the census's own.
+    Q <= S + T holds by case split on each row.
     """
     sifted = _sifted_test(y, z)
     emp_s = emp_t = emp_q = 0
-    for rec, v in zip(result.records, result.verdicts):
+    for n, v in zip(result.n, result.verdicts):
         fermat = 1 if v & FERMAT_BIT else 0
-        if sifted(rec.n):
+        if sifted(n):
             emp_t += fermat
         else:
             emp_s += 1
         emp_q += fermat
     x = float(result.x)
-    pi_x = len(result.records) + len(result.skipped_bad)
+    pi_x = len(result.n) + len(result.skipped_bad)
     env_u = count_envelope(x, "unconditional")
     env_g = count_envelope(x, "grh")
     meta = {

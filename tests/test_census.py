@@ -1,10 +1,17 @@
 """Census records, verdict flags, decomposition, congruence and multiplicity stats."""
+import concurrent.futures
 import json
 import math
 import os
+import tracemalloc
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eclab import census, curves
 from eclab.arith import is_prime
@@ -16,13 +23,13 @@ from eclab.census import (
     TASK_PRIMES,
     CensusResult,
     CongruenceRow,
-    _worker_count,
     congruence_stats,
     decompose_pseudoprimes,
     multiplicity_stats,
     run_census,
     smooth_split,
     summarize,
+    worker_count,
     write_records_csv,
     write_summary_json,
 )
@@ -41,11 +48,23 @@ from eclab.pseudoprimes import pomerance_scale
 CURVE = get_curve("37a")
 
 
+def columns(records):
+    """The p, a_p and n columns of (p, a_p, n) rows."""
+    return [array("q", [rec[i] for rec in records]) for i in range(3)]
+
+
+def result_of(x, base, strict, records, verdicts, skipped_bad=()):
+    """CensusResult of curve 37a holding the given rows (synthetic)."""
+    return CensusResult(
+        CURVE, x, base, strict, *columns(records), verdicts, list(skipped_bad)
+    )
+
+
 def pseudo_result(ns, x, base=2):
     """CensusResult with every n flagged as a pseudoprime (synthetic)."""
     records = [TraceRecord(2 * i + 3, 0, n) for i, n in enumerate(ns)]
     verdicts = bytes([FERMAT_BIT | PSEUDO_BIT] * len(ns))
-    return CensusResult(CURVE, x, base, False, records, verdicts, [])
+    return result_of(x, base, False, records, verdicts)
 
 
 def test_small_census_records_and_verdicts():
@@ -102,7 +121,7 @@ def test_summary_strict_mode_counterexample():
 
 def test_unit_bucket():
     records = [TraceRecord(2, 2, 1)]
-    result = CensusResult(CURVE, 10, 2, False, records, bytes([FERMAT_BIT]), [])
+    result = result_of(10, 2, False, records, bytes([FERMAT_BIT]))
     summary = summarize(result)
     assert summary.unit_count == 1 and summary.Q == 1 and summary.pseu == 0
     assert summary.meta["partition_ok"]
@@ -110,27 +129,34 @@ def test_unit_bucket():
 
 def test_result_alignment_checked():
     with pytest.raises(ValueError):
-        CensusResult(CURVE, 10, 2, False, [TraceRecord(2, -2, 5)], bytes(), [])
+        result_of(10, 2, False, [TraceRecord(2, -2, 5)], bytes())
+    empty = array("q")
     with pytest.raises(ValueError):
         CensusResult(
-            curve=CURVE, x=10, base=2, strict=False, records=[], verdicts=b"\0", skipped_bad=[]
+            curve=CURVE, x=10, base=2, strict=False, p=empty, a_p=empty, n=empty,
+            verdicts=b"\0", skipped_bad=[],
         )
-    aligned = CensusResult(CURVE, 10, 2, False, [TraceRecord(2, -2, 5)], bytes(1), [])
+    aligned = result_of(10, 2, False, [TraceRecord(2, -2, 5)], bytes(1))
     with pytest.raises(ValueError):
         aligned._replace(verdicts=bytes())
+    # every column is checked, not only the verdicts against p
+    for name in ("p", "a_p", "n"):
+        with pytest.raises(ValueError):
+            aligned._replace(**{name: array("q")})
+    assert aligned.records == [TraceRecord(2, -2, 5)]
     with pytest.raises(ValueError):
         run_census(CURVE, 1)
 
 
 def test_worker_count(monkeypatch):
     monkeypatch.delenv("ECLAB_THREADS", raising=False)
-    assert _worker_count(2) == 2
-    assert _worker_count(None) == (os.cpu_count() or 1)
+    assert worker_count(2) == 2
+    assert worker_count(None) == (os.cpu_count() or 1)
     monkeypatch.setenv("ECLAB_THREADS", "3")
-    assert _worker_count(None) == 3
-    assert _worker_count(1) == 1  # explicit argument wins
+    assert worker_count(None) == 3
+    assert worker_count(1) == 1  # explicit argument wins
     with pytest.raises(ValueError):
-        _worker_count(0)
+        worker_count(0)
 
 
 def test_census_deterministic_across_workers(monkeypatch):
@@ -323,7 +349,8 @@ def test_congruence_expected_disabled():
 
 def test_multiplicity_synthetic():
     records = [TraceRecord(i, 0, n) for i, n in enumerate([5, 5, 5, 7, 7, 8])]
-    stats = multiplicity_stats(records)
+    p, _, n = columns(records)
+    stats = multiplicity_stats(p, n)
     assert stats.table == {5: 3, 7: 2}
     assert stats.second_moment == 14
     assert stats.collision_pairs == 8
@@ -337,10 +364,11 @@ def test_multiplicity_ceiling_failure():
     # 50 primes sharing order 100 would exceed the prime count of the
     # window [100 - 91, 100 + 91]; the ceiling must catch that
     records = [TraceRecord(i, 0, 100) for i in range(50)]
-    stats = multiplicity_stats(records)
+    p, _, n = columns(records)
+    stats = multiplicity_stats(p, n)
     assert not stats.ceiling_ok
     assert stats.ceiling_failures == ((100, 50, 40),)
-    empty = multiplicity_stats([])
+    empty = multiplicity_stats([], [])
     assert empty.table == {} and empty.ceiling_ok and empty.fitted_delta is None
 
 
@@ -381,14 +409,8 @@ def test_summary_serialization(tmp_path):
 
 def test_summary_multiplicity_keys_sorted_numerically():
     ns = [100, 100, 20, 20, 9, 9, 9]
-    result = CensusResult(
-        CURVE,
-        50,
-        2,
-        False,
-        [TraceRecord(i, 0, n) for i, n in enumerate(ns)],
-        bytes(len(ns)),
-        [],
+    result = result_of(
+        50, 2, False, [TraceRecord(i, 0, n) for i, n in enumerate(ns)], bytes(len(ns))
     )
     d = summarize(result).to_dict()
     assert list(d["multiplicity"]) == ["9", "20", "100"]
@@ -406,3 +428,217 @@ def test_summary_cm_fields():
     assert meta["collision_pairs"] == summary.second_moment - len(result.records)
     if summary.twin:
         assert meta["pseu_to_twin_ratio"] == summary.pseu / summary.twin
+
+
+# -- windowed multiplicity count -------------------------------------------------
+
+
+def multiplicity_oracle(ns):
+    """Table, second moment and pair count from one Counter over every n."""
+    counter = Counter(ns)
+    return (
+        {n: m for n, m in counter.items() if m >= 2},
+        sum(m * m for m in counter.values()),
+        sum(m * (m - 1) for m in counter.values()),
+    )
+
+
+@pytest.mark.parametrize("label", ["37a", "11a", "32a"])
+def test_windowed_multiplicity_matches_counter_on_censuses(label):
+    result = run_census(get_curve(label), 20_000, threads=1)
+    stats = multiplicity_stats(result.p, result.n)
+    table, second, pairs = multiplicity_oracle(result.n)
+    assert (stats.table, stats.second_moment, stats.collision_pairs) == (table, second, pairs)
+    assert list(stats.table) == sorted(table)
+    if label == "32a":
+        # CM: n(p) = p + 1 at every supersingular p = 3 mod 4, and the ordinary
+        # traces are 2u for p = u^2 + v^2, so orders repeat often
+        assert max(table.values()) >= 8
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=-4, max_value=4)),
+        max_size=300,
+    ),
+)
+def test_windowed_multiplicity_matches_counter_on_hasse_columns(start, steps):
+    # increasing p with small gaps and traces in [-4, 4], cut to the Hasse
+    # bound, so many rows share an order
+    ps, ns = [], []
+    p = start
+    for gap, a in steps:
+        p += gap
+        while a * a > 4 * p:
+            a -= 1 if a > 0 else -1
+        ps.append(p)
+        ns.append(p + 1 - a)
+    stats = multiplicity_stats(array("q", ps), array("q", ns))
+    table, second, pairs = multiplicity_oracle(ns)
+    assert (stats.table, stats.second_moment, stats.collision_pairs) == (table, second, pairs)
+
+
+def test_multiplicity_rejects_an_order_below_a_passed_floor():
+    # at p = 103 every order from there on exceeds 103 - 1 - 2 * 10 = 82;
+    # Hasse puts n(103) at 84 or above
+    with pytest.raises(ValueError):
+        multiplicity_stats([100, 101, 103], [101, 102, 82])
+    assert multiplicity_stats([100, 101, 103], [101, 102, 84]).table == {}
+
+
+def test_prime_window_counts_match_bisection():
+    values = [1, 2, 5, 9, 100, 101, 4000, 20_011, 65_536, 70_000]
+    primes = primes_up_to(80_000)
+    want = {}
+    for n in values:
+        w = math.isqrt(81 * n) + 1
+        want[n] = bisect_right(primes, n + w) - bisect_left(primes, n - w)
+    assert census._prime_window_counts(values) == want
+    assert census._prime_window_counts([]) == {}
+
+
+# -- bounded task window -----------------------------------------------------------
+
+
+class _TrackedFuture:
+    """A future that tells its pool when its result is read or it is cancelled."""
+
+    def __init__(self, pool, future):
+        self.pool, self.future, self.settled = pool, future, False
+
+    def _settle(self):
+        if not self.settled:
+            self.settled = True
+            self.pool.outstanding -= 1
+
+    def result(self):
+        try:
+            # a bounded wait, so a stalled submit loop fails instead of hanging
+            return self.future.result(timeout=60)
+        except Exception:
+            self.pool.failed = True
+            raise
+        finally:
+            self._settle()
+
+    def cancel(self):
+        self._settle()
+        return self.future.cancel()
+
+
+class ThreadPoolStandIn:
+    """ProcessPoolExecutor on threads, counting the tasks submitted and not yet
+    consumed or cancelled, and the submits that follow a failed result."""
+
+    def __init__(self, workers, sieved):
+        self.pool = ThreadPoolExecutor(workers)
+        self.sieved, self.sieved_before = sieved, sieved[0]
+        self.outstanding = self.peak = 0
+        self.failed = False
+        self.submits = []  # (segments sieved since the pool opened, first prime)
+        self.late_submits = 0
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.pool.shutdown(wait=True)
+        return False
+
+    def submit(self, fn, task):
+        self.late_submits += self.failed
+        self.submits.append((self.sieved[0] - self.sieved_before, task[1][0]))
+        future = _TrackedFuture(self, self.pool.submit(fn, task))
+        self.futures.append(future)
+        self.outstanding += 1
+        self.peak = max(self.peak, self.outstanding)
+        return future
+
+
+@pytest.fixture
+def standin_pools(monkeypatch):
+    """Patch the process pool with ThreadPoolStandIn; returns the pools made."""
+    pools = []
+    sieved = [0]
+    real_segments = census.iter_prime_segments
+
+    def counted_segments(*args):
+        for seg in real_segments(*args):
+            sieved[0] += 1
+            yield seg
+
+    def make(workers):
+        pools.append(ThreadPoolStandIn(workers, sieved))
+        return pools[-1]
+
+    monkeypatch.setattr(census, "iter_prime_segments", counted_segments)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
+    return pools
+
+
+def test_pool_keeps_a_bounded_window_and_sieves_lazily(monkeypatch, standin_pools):
+    # 430 primes below 3000 in segments of 256, tasks of at most 10 primes
+    monkeypatch.setattr(census, "TASK_PRIMES", 10)
+    one = run_census(CURVE, 3000, threads=1, segment_len=256)
+    two = run_census(CURVE, 3000, threads=2, segment_len=256)
+    assert two == one
+    (pool,) = standin_pools
+    assert pool.peak == census.TASKS_PER_WORKER * 2  # full, never overfull
+    assert pool.outstanding == 0 and all(f.settled for f in pool.futures)
+    # a segment is sieved when its first task is submitted, not before
+    first_primes = [first for _, first in pool.submits]
+    assert [sieved for sieved, _ in pool.submits] == [1 + p // 256 for p in first_primes]
+    assert sorted(first_primes) == first_primes and len(first_primes) > 12
+
+
+def test_failed_task_stops_submission(monkeypatch, standin_pools):
+    # 430 primes below 3000 in one segment, tasks of at most 10 primes; the
+    # fifth task, primes[40:50], raises
+    monkeypatch.setattr(census, "TASK_PRIMES", 10)
+    real_chunk = census._census_chunk
+    doomed = primes_up_to(3000)[40]
+
+    def failing_chunk(task):
+        if task[1][0] == doomed:
+            raise ArithmeticError("injected")
+        return real_chunk(task)
+
+    monkeypatch.setattr(census, "_census_chunk", failing_chunk)
+    with pytest.raises(ArithmeticError, match="injected"):
+        run_census(CURVE, 3000, threads=2)
+    (pool,) = standin_pools
+    window = census.TASKS_PER_WORKER * 2
+    # each consumed result frees one slot, so the tasks after the failing
+    # one that went out before its result was read fill the window, and no
+    # task goes out after it
+    assert len(pool.submits) == 4 + window
+    assert pool.late_submits == 0
+    assert pool.outstanding == 0 and all(f.settled for f in pool.futures)
+
+
+# -- memory ----------------------------------------------------------------------
+
+
+def test_census_memory_per_good_prime(tmp_path, monkeypatch):
+    # Python heap peak over census, summary and CSV writer, per good prime.
+    # The traced run reads each n(p) from a first, untraced run: the same
+    # rows, without the short-lived integers of point counting, which would
+    # make tracemalloc's hook some 60 times slower than the census itself.
+    # Columns hold 25 bytes a row; the segment's prime tuple is a constant.
+    # Measured at x = 5e4: 91 bytes a row with columns, 214 with one
+    # TraceRecord per row and a Counter over every n.
+    first = run_census(CURVE, 50_000, threads=1)
+    orders = dict(zip(first.p, first.n))
+    monkeypatch.setattr(curves, "_group_order_short", lambda p, a, b: orders[p])
+    tracemalloc.start()
+    try:
+        result = run_census(CURVE, 50_000, threads=1)
+        summarize(result)
+        write_records_csv(result, str(tmp_path / "records.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(result.n) < 140

@@ -468,6 +468,48 @@ def test_hasse_violation_exits_one(tmp_path, capsys, monkeypatch, name, fake, me
     assert list(tmp_path.iterdir()) == []
 
 
+def test_hasse_violation_in_a_worker_exits_one(tmp_path, capsys, monkeypatch):
+    # The pool's worker raises; the parent re-raises it and exits 1.
+    monkeypatch.setattr(eclab.curves, "_group_order_short", lambda p, a, b: 4 * p + 1)
+    code, stdout, stderr = run(
+        capsys, "census", "--x", "300", "--threads", "2", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert stderr == "invariant violated: trace -15 at p=5 violates the Hasse bound\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("census", "--threads", "0"), None),
+        (("pomerance", "--threads", "0"), None),
+        (("census",), "0"),
+        (("census",), "abc"),
+        (("pomerance",), "0"),
+        (("pomerance",), "abc"),
+        (("sieve-report",), "0"),
+        (("sieve-report",), "abc"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"ECLAB_THREADS={v or ''}",
+)
+def test_bad_worker_count_exits_two_before_output(tmp_path, capsys, monkeypatch, argv, env):
+    def counted(*args, **kwargs):
+        raise AssertionError("run_census ran before the worker count was checked")
+
+    monkeypatch.setattr(eclab.cli, "run_census", counted)
+    if env is None:
+        monkeypatch.delenv("ECLAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ECLAB_THREADS", env)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *argv, "--x", "1000", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path)
     cases = [

@@ -1,6 +1,7 @@
 """Sieve densities, Euler products, envelopes, and the empirical S/T split."""
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,19 @@ def test_preset_params():
         preset_params(10**6, "median")
 
 
+def test_envelope_and_presets_share_the_e_to_the_e_rule():
+    edge = math.exp(math.e)
+    above = math.nextafter(edge, math.inf)
+    for mode in ("unconditional", "grh"):
+        with pytest.raises(ValueError, match="x > e\\^e"):
+            count_envelope(edge, mode)
+        with pytest.raises(ValueError, match="x > e\\^e"):
+            preset_params(edge, mode)
+        assert math.isfinite(count_envelope(above, mode))
+        params = preset_params(above, mode)
+        assert all(math.isfinite(v) for v in params[:4])
+
+
 def test_empirical_counts_hand_records():
     r15 = TraceRecord(13, -1, 15)
     r341 = TraceRecord(331, -9, 341)
@@ -261,7 +275,8 @@ def _hand_census():
     ]
     prime, pseudo = FERMAT_BIT | PRIME_BIT, FERMAT_BIT | PSEUDO_BIT
     verdicts = bytearray([0, 0, prime, pseudo, prime])
-    return CensusResult(get_curve("37a"), 2000, 3, True, records, verdicts, [37])
+    p, a_p, n = (array("q", col) for col in zip(*records))
+    return CensusResult(get_curve("37a"), 2000, 3, True, p, a_p, n, verdicts, [37])
 
 
 def test_build_sieve_report():
