@@ -43,7 +43,6 @@ from .curves import (
     naive_count,
     parse_curve_line,
     reduce_mod,
-    trace_record,
 )
 from .gl2 import (
     ClassCountTable,
@@ -72,7 +71,6 @@ from .pseudoprimes import (
     NoCrtSolutionError,
     OrderLevelReport,
     OrderStats,
-    PseudoprimeVerdict,
     classify,
     count_by_order,
     crt_residue,

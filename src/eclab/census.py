@@ -1,12 +1,14 @@
 """Census of elliptic-curve group orders n(p) = p + 1 - a_p over primes p <= x.
 
-Each good prime contributes one row to three array('q') columns p, a_p and
-n, plus a verdict byte: bit 0 set when n passes the Fermat test for the
-chosen base, bit 1 when n is prime, bit 2 when n is a Fermat pseudoprime
-(passes, composite, n != 1). A row costs 25 bytes from the counting loop to
-the writers; no per-prime object is built. A pool keeps at most two tasks
-per worker in flight, and the multiplicity count holds only the orders
-still inside the Hasse window, so memory grows with the columns alone.
+Each good prime contributes one row to two array('q') columns p and n,
+plus the verdict byte of n from `pseudoprimes.classify`: bit 0 set when n
+passes the Fermat test for the chosen base, bit 1 when n is prime, bit 2
+when n is a Fermat pseudoprime (passes, composite, n != 1). a_p = p + 1 - n
+is computed only where it is printed. A row costs 17 bytes from the
+counting loop to the writers; no per-prime object is built. A pool keeps at
+most two tasks per worker in flight, and the multiplicity count holds only
+the orders still inside the Hasse window, so memory grows with the columns
+alone.
 Counting is deterministic, so worker count never changes the output.
 """
 from __future__ import annotations
@@ -24,12 +26,15 @@ from typing import NamedTuple
 from .arith import divisors, factorize, is_prime, prime_factors
 from .curves import TraceRecord, WeierstrassCurve, trace_records
 from .gl2 import class_density
-from .primes import DEFAULT_SEGMENT, iter_prime_segments
-from .pseudoprimes import classify, pomerance_scale, prime_order
-
-FERMAT_BIT = 1
-PRIME_BIT = 2
-PSEUDO_BIT = 4
+from .primes import iter_prime_segments
+from .pseudoprimes import (
+    FERMAT_BIT,
+    PRIME_BIT,
+    PSEUDO_BIT,
+    classify,
+    pomerance_scale,
+    prime_order,
+)
 
 # primes per census task: small enough that a pool's workers finish together
 TASK_PRIMES = 2048
@@ -43,21 +48,20 @@ class _CensusFields(NamedTuple):
     base: int
     strict: bool
     p: array  # good primes, increasing
-    a_p: array  # trace of Frobenius at each p
     n: array  # group order p + 1 - a_p at each p
     verdicts: bytearray  # one verdict byte per p
     skipped_bad: list[int]
 
 
 class CensusResult(_CensusFields):
-    """Raw census output: columns p, a_p, n and verdicts aligned by index."""
+    """Raw census output: columns p, n and verdicts aligned by index."""
 
     __slots__ = ()
 
-    def __new__(cls, curve, x, base, strict, p, a_p, n, verdicts, skipped_bad):
-        if not len(p) == len(a_p) == len(n) == len(verdicts):
-            raise ValueError("p, a_p, n and verdicts must align")
-        return super().__new__(cls, curve, x, base, strict, p, a_p, n, verdicts, skipped_bad)
+    def __new__(cls, curve, x, base, strict, p, n, verdicts, skipped_bad):
+        if not len(p) == len(n) == len(verdicts):
+            raise ValueError("p, n and verdicts must align")
+        return super().__new__(cls, curve, x, base, strict, p, n, verdicts, skipped_bad)
 
     @classmethod
     def _make(cls, fields):
@@ -69,21 +73,17 @@ class CensusResult(_CensusFields):
         """The rows as TraceRecords, built anew on each access: a read-only
         view for callers written against the record API. No census path
         reads it."""
-        return list(map(TraceRecord, self.p, self.a_p, self.n))
+        return [TraceRecord(p, p + 1 - n, n) for p, n in zip(self.p, self.n)]
 
 
 def _census_chunk(task):
     """One task of the census; top level so process pools can pickle it.
 
-    Returns the p, a_p and n columns, the verdict bytes and the bad primes.
+    Returns the p and n columns, the verdict bytes and the bad primes.
     """
     curve, primes, base, strict = task
-    ps, aps, ns, skipped = trace_records(curve, primes)
-    verdicts = bytearray(
-        FERMAT_BIT * v.fermat | PRIME_BIT * v.prime | PSEUDO_BIT * v.pseudoprime
-        for v in (classify(base, n, strict) for n in ns)
-    )
-    return ps, aps, ns, verdicts, skipped
+    ps, ns, skipped = trace_records(curve, primes)
+    return ps, ns, bytearray(classify(base, n, strict) for n in ns), skipped
 
 
 def worker_count(threads: int | None = None) -> int:
@@ -133,7 +133,6 @@ def run_census(
     base: int = 2,
     strict: bool = False,
     threads: int | None = None,
-    segment_len: int = DEFAULT_SEGMENT,
 ) -> CensusResult:
     """Count points at every prime p <= x and classify each group order.
 
@@ -149,10 +148,10 @@ def run_census(
     workers = worker_count(threads)
     tasks = (
         (curve, seg.primes[i : i + TASK_PRIMES], base, strict)
-        for seg in iter_prime_segments(x, segment_len)
+        for seg in iter_prime_segments(x)
         for i in range(0, len(seg.primes), TASK_PRIMES)
     )
-    ps, aps, ns = array("q"), array("q"), array("q")
+    ps, ns = array("q"), array("q")
     verdicts = bytearray()
     skipped: list[int] = []
     if workers > 1:
@@ -166,13 +165,12 @@ def run_census(
         pool = nullcontext()
         chunks = map(_census_chunk, tasks)
     with pool:
-        for chunk_p, chunk_a, chunk_n, bits, skip in chunks:
+        for chunk_p, chunk_n, bits, skip in chunks:
             ps.extend(chunk_p)
-            aps.extend(chunk_a)
             ns.extend(chunk_n)
             verdicts.extend(bits)
             skipped.extend(skip)
-    return CensusResult(curve, x, base, strict, ps, aps, ns, verdicts, skipped)
+    return CensusResult(curve, x, base, strict, ps, ns, verdicts, skipped)
 
 
 # -- pseudoprime decomposition ------------------------------------------------
@@ -309,22 +307,23 @@ class CongruenceRow(NamedTuple):
 
 
 def congruence_stats(
-    records, modulus: int, serre_bound: int | None = None
+    ns, modulus: int, serre_bound: int | None = None
 ) -> list[CongruenceRow]:
-    """Histogram of n mod `modulus` with predicted counts where valid.
+    """Histogram of the group orders ns mod `modulus`, with predicted counts
+    where valid.
 
     The density prediction applies only at a prime modulus coprime to the
     curve's exceptional level `serre_bound`. A bound of None means unknown
     and 0 means every prime is exceptional (gcd(m, 0) = m > 1), so both
-    disable the prediction. Expected counts normalize by the record count,
-    the natural finite-x stand-in for the logarithmic integral.
+    disable the prediction. Expected counts normalize by the number of
+    orders, the natural finite-x stand-in for the logarithmic integral.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     hist = [0] * modulus
     total = 0
-    for rec in records:
-        hist[rec.n % modulus] += 1
+    for n in ns:
+        hist[n % modulus] += 1
         total += 1
     usable = (
         serre_bound is not None
@@ -555,8 +554,8 @@ def write_records_csv(result: CensusResult, path: str) -> None:
     flags = [f",{(v >> 1) & 1},{(v >> 2) & 1},{v & 1}\n" for v in range(8)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RECORDS_HEADER + "\n")
-        for p, a, n, v in zip(result.p, result.a_p, result.n, result.verdicts):
-            fh.write(f"{p},{a},{n}{flags[v]}")
+        for p, n, v in zip(result.p, result.n, result.verdicts):
+            fh.write(f"{p},{p + 1 - n},{n}{flags[v]}")
 
 
 def write_summary_json(summary: CensusSummary, path: str) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -30,9 +31,11 @@ from .gl2 import (
     gl2_order,
     predicted_class_count,
 )
+from .primes import check_cutoff
 # order_stats replaces the order_census, tail_sum and product_tail_sum calls;
 # those names stay importable here because perfbench/traced_cli.py wraps them.
 from .pseudoprimes import (  # noqa: F401
+    SPF_LIMIT,
     nord_bound,
     order_census,
     order_level_report,
@@ -214,6 +217,7 @@ def _census_invariant_failures(summary) -> list[str]:
 def _cmd_census(args) -> Report:
     if args.x < 2:
         raise UsageError(f"--x must be at least 2, got {args.x}")
+    check_cutoff(args.x)
     curve = _load_curve(args)
     workers = worker_count(args.threads)
     paths = [_out_path(args, "records.csv"), _out_path(args, "summary.json")]
@@ -290,6 +294,8 @@ def _cmd_order_stats(args) -> Report:
         raise UsageError(f"--base must be at least 2, got {args.base}")
     if args.t < 2 or args.cap < args.t:
         raise UsageError("need 2 <= t <= cap")
+    if args.cap >= SPF_LIMIT:
+        raise UsageError(f"--cap must be below 2^32, got {args.cap}")
     path = _out_path(args, "orders.csv")
     stats = order_stats(args.base, args.t, args.cap)
     lines = [ORDERS_HEADER]
@@ -346,7 +352,10 @@ def _cmd_sieve_report(args) -> Report:
             "raw_y": params.raw_y,
             "raw_z": params.raw_z,
         }
-    # The rules build_sieve_report applies after the census, checked before it.
+    # The rules run_census and build_sieve_report apply, checked before the
+    # census and before --out is created.
+    check_cutoff(args.x)
+    check_cutoff(math.ceil(z) - 1)  # density_product sieves the primes below z
     linear_sieve_F(args.s)
     count_envelope(args.x, "grh")
     workers = worker_count()

@@ -6,8 +6,8 @@ short model y^2 = x^3 + Ax + B has j = 0 (A = 0) or j = 1728 (B = 0), and
 baby-step/giant-step order finding inside the Hasse window otherwise.
 The census counts through trace_records, which computes the integer short
 model A = -27 c4, B = -54 c6 once per task of primes and then reduces only
-A, B and the discriminant at each prime. It appends p, a_p and n to three
-array('q') columns, so a census row costs 24 bytes and no tuple.
+A, B and the discriminant at each prime. It appends p and n to two
+array('q') columns, so a census row costs 16 bytes and no tuple.
 
 The closed form (Ireland & Rosen, Ch. 18, Thms 4 and 5) is n = p + 1 at the
 supersingular primes (p = 2 mod 3 for j = 0, p = 3 mod 4 for j = 1728).
@@ -157,21 +157,19 @@ def naive_count(rc: ReducedCurve) -> int:
     return total
 
 
-def trace_records(
-    curve: WeierstrassCurve, primes
-) -> tuple[array, array, array, list[int]]:
-    """Columns p, a_p and n at the good primes of `primes`, in order, and the
-    bad primes.
+def trace_records(curve: WeierstrassCurve, primes) -> tuple[array, array, list[int]]:
+    """Columns p and n at the good primes of `primes`, in order, and the bad
+    primes.
 
     Every p must be prime; none is re-checked. The integer short model is
     computed once per call, so each p >= 5 costs three reductions (A, B and
-    the discriminant) and one count. The three columns are array('q'),
-    8 bytes a row, and they pickle as raw bytes. Raises ArithmeticError on a
-    trace outside the Hasse bound.
+    the discriminant) and one count. The two columns are array('q'), 8 bytes
+    a row, and they pickle as raw bytes. Raises ArithmeticError on a trace
+    a_p = p + 1 - n outside the Hasse bound.
     """
     A, B = _short_coefficients(*curve.coefficients())
     disc = curve.disc
-    ps, aps, ns = array("q"), array("q"), array("q")
+    ps, ns = array("q"), array("q")
     bad = []
     for p in primes:
         if disc % p == 0:
@@ -185,18 +183,8 @@ def trace_records(
         if a * a > 4 * p:
             raise ArithmeticError(f"trace {a} at p={p} violates the Hasse bound")
         ps.append(p)
-        aps.append(a)
         ns.append(n)
-    return ps, aps, ns, bad
-
-
-def trace_record(curve: WeierstrassCurve, p: int) -> TraceRecord:
-    if not is_prime(p):
-        raise ValueError(f"reduction requires a prime, got {p}")
-    ps, aps, ns, bad = trace_records(curve, [p])
-    if bad:
-        raise BadReductionError(f"bad reduction at {p}")
-    return TraceRecord(ps[0], aps[0], ns[0])
+    return ps, ns, bad
 
 
 def _count_enumeration(rc: ReducedCurve) -> int:

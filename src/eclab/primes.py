@@ -26,14 +26,15 @@ class PrimeSegment(NamedTuple):
     primes: tuple[int, ...]
 
 
-def _check_cutoff(x: int) -> None:
+def check_cutoff(x: int) -> None:
+    """Raise CutoffError if x exceeds the largest cutoff the sieve supports."""
     if x > MAX_CUTOFF:
         raise CutoffError(f"cutoff {x} exceeds supported maximum 2^63")
 
 
 def primes_up_to(x: int) -> list[int]:
     """All primes <= x, ascending."""
-    _check_cutoff(x)
+    check_cutoff(x)
     return _segment_primes(0, x + 1, _odd_base_primes(x))
 
 
@@ -83,7 +84,7 @@ def iter_prime_segments(
 
 def segment_bounds(x: int, segment_len: int = DEFAULT_SEGMENT) -> list[tuple[int, int]]:
     """The (lo, hi) tiling iter_prime_segments uses, without sieving anything."""
-    _check_cutoff(x)
+    check_cutoff(x)
     if segment_len < 2:
         raise ValueError("segment_len must be at least 2")
     return [

@@ -22,16 +22,14 @@ class NoCrtSolutionError(ValueError):
     """The modulus and the order share a factor; the residue system is unsolvable."""
 
 
-class PseudoprimeVerdict(NamedTuple):
-    n: int
-    base: int
-    fermat: bool
-    prime: bool
-    pseudoprime: bool
+# The verdict byte of a group order n: one bit per fact, each computed from
+# its own definition.
+FERMAT_BIT = 1  # n passes the Fermat test
+PRIME_BIT = 2  # n is prime
+PSEUDO_BIT = 4  # n passes, is composite and is not 1
 
-    @property
-    def unit(self) -> bool:
-        return self.n == 1
+# smallest_prime_factors tables end below this: two-byte items hold isqrt(limit)
+SPF_LIMIT = 1 << 32
 
 
 def fermat_holds(b: int, n: int, strict: bool = False) -> bool:
@@ -49,11 +47,11 @@ def fermat_holds(b: int, n: int, strict: bool = False) -> bool:
     return pow(b, n, n) == b % n
 
 
-def classify(b: int, n: int, strict: bool = False) -> PseudoprimeVerdict:
-    """Fermat/prime/pseudoprime verdict. n = 1 is neither prime nor pseudoprime."""
+def classify(b: int, n: int, strict: bool = False) -> int:
+    """The verdict byte of n at base b. n = 1 is neither prime nor pseudoprime."""
     f = fermat_holds(b, n, strict)
     pr = is_prime(n)
-    return PseudoprimeVerdict(n, b, f, pr, f and not pr and n != 1)
+    return FERMAT_BIT * f | PRIME_BIT * pr | PSEUDO_BIT * (f and not pr and n != 1)
 
 
 def multiplicative_order(b: int, d: int) -> int:
@@ -119,9 +117,9 @@ def smallest_prime_factors(limit: int) -> array:
     prime factor of a composite n, and 0 for primes, 0 and 1.
 
     Every stored value is at most isqrt(limit), so two-byte items hold it
-    for every limit below 2^32.
+    for every limit below SPF_LIMIT.
     """
-    if not 0 <= limit < 1 << 32:
+    if not 0 <= limit < SPF_LIMIT:
         raise ValueError(f"SPF table limit must be in [0, 2^32), got {limit}")
     spf = array("H", bytes(2 * (limit + 1)))
     # Largest prime first, so each composite ends up holding its smallest.
@@ -262,7 +260,7 @@ def order_level_report(b: int, t: int) -> OrderLevelReport:
 
 def pseudoprimes_below(b: int, limit: int) -> list[int]:
     """Base-b Fermat pseudoprimes below limit, regenerated by direct scan."""
-    return [n for n in range(2, limit) if classify(b, n).pseudoprime]
+    return [n for n in range(2, limit) if classify(b, n) & PSEUDO_BIT]
 
 
 def tail_sum_exact(b: int, t: float, cap: int) -> Fraction:

@@ -14,13 +14,14 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize
-from .census import FERMAT_BIT, CensusResult
 from .gl2 import class_density, prime_class_counts
 from .primes import primes_up_to
-from .pseudoprimes import fermat_holds
+from .pseudoprimes import FERMAT_BIT, fermat_holds
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .census import CensusResult
 
 # Hard-coded to 18+ significant digits; a unit test recomputes gamma from an
 # Euler-Maclaurin series.

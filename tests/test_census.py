@@ -8,17 +8,15 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eclab import census, curves
+from eclab import census, curves, primes
 from eclab.arith import is_prime
 from eclab.census import (
-    FERMAT_BIT,
-    PRIME_BIT,
-    PSEUDO_BIT,
     RECORDS_HEADER,
     TASK_PRIMES,
     CensusResult,
@@ -42,15 +40,15 @@ from eclab.curves import (
 )
 from eclab.gl2 import class_density
 from eclab.primes import DEFAULT_SEGMENT, primes_up_to
-from eclab.pseudoprimes import pomerance_scale
+from eclab.pseudoprimes import FERMAT_BIT, PRIME_BIT, PSEUDO_BIT, pomerance_scale
 
 
 CURVE = get_curve("37a")
 
 
 def columns(records):
-    """The p, a_p and n columns of (p, a_p, n) rows."""
-    return [array("q", [rec[i] for rec in records]) for i in range(3)]
+    """The p and n columns of (p, a_p, n) rows."""
+    return [array("q", [rec[i] for rec in records]) for i in (0, 2)]
 
 
 def result_of(x, base, strict, records, verdicts, skipped_bad=()):
@@ -133,14 +131,14 @@ def test_result_alignment_checked():
     empty = array("q")
     with pytest.raises(ValueError):
         CensusResult(
-            curve=CURVE, x=10, base=2, strict=False, p=empty, a_p=empty, n=empty,
+            curve=CURVE, x=10, base=2, strict=False, p=empty, n=empty,
             verdicts=b"\0", skipped_bad=[],
         )
     aligned = result_of(10, 2, False, [TraceRecord(2, -2, 5)], bytes(1))
     with pytest.raises(ValueError):
         aligned._replace(verdicts=bytes())
     # every column is checked, not only the verdicts against p
-    for name in ("p", "a_p", "n"):
+    for name in ("p", "n"):
         with pytest.raises(ValueError):
             aligned._replace(**{name: array("q")})
     assert aligned.records == [TraceRecord(2, -2, 5)]
@@ -169,8 +167,13 @@ def test_census_deterministic_across_workers(monkeypatch):
         (3000, 1024, 10),
     ):
         monkeypatch.setattr(census, "TASK_PRIMES", task_primes)
-        one = run_census(CURVE, x, threads=1, segment_len=segment_len)
-        two = run_census(CURVE, x, threads=2, segment_len=segment_len)
+        monkeypatch.setattr(
+            census,
+            "iter_prime_segments",
+            partial(primes.iter_prime_segments, segment_len=segment_len),
+        )
+        one = run_census(CURVE, x, threads=1)
+        two = run_census(CURVE, x, threads=2)
         assert one.records == two.records
         assert bytes(one.verdicts) == bytes(two.verdicts)
         assert one.skipped_bad == two.skipped_bad
@@ -327,29 +330,29 @@ def census_1000():
 
 
 def test_congruence_histogram_and_expected():
-    records = census_1000().records
-    rows = congruence_stats(records, 5, serre_bound=74)
-    hist = Counter(rec.n % 5 for rec in records)
+    ns = census_1000().n
+    rows = congruence_stats(ns, 5, serre_bound=74)
+    hist = Counter(n % 5 for n in ns)
     assert [row.observed for row in rows] == [hist[r] for r in range(5)]
-    assert sum(row.observed for row in rows) == len(records)
+    assert sum(row.observed for row in rows) == len(ns)
     for row in rows:
-        assert row.expected == float(class_density(5, row.residue)) * len(records)
+        assert row.expected == float(class_density(5, row.residue)) * len(ns)
     assert isinstance(rows[0], CongruenceRow)
 
 
 def test_congruence_expected_disabled():
-    records = census_1000().records
-    assert all(r.expected is None for r in congruence_stats(records, 5))
-    assert all(r.expected is None for r in congruence_stats(records, 5, serre_bound=0))
-    assert all(r.expected is None for r in congruence_stats(records, 37, serre_bound=74))
-    assert all(r.expected is None for r in congruence_stats(records, 15, serre_bound=74))
+    ns = census_1000().n
+    assert all(r.expected is None for r in congruence_stats(ns, 5))
+    assert all(r.expected is None for r in congruence_stats(ns, 5, serre_bound=0))
+    assert all(r.expected is None for r in congruence_stats(ns, 37, serre_bound=74))
+    assert all(r.expected is None for r in congruence_stats(ns, 15, serre_bound=74))
     with pytest.raises(ValueError):
-        congruence_stats(records, 1)
+        congruence_stats(ns, 1)
 
 
 def test_multiplicity_synthetic():
     records = [TraceRecord(i, 0, n) for i, n in enumerate([5, 5, 5, 7, 7, 8])]
-    p, _, n = columns(records)
+    p, n = columns(records)
     stats = multiplicity_stats(p, n)
     assert stats.table == {5: 3, 7: 2}
     assert stats.second_moment == 14
@@ -364,7 +367,7 @@ def test_multiplicity_ceiling_failure():
     # 50 primes sharing order 100 would exceed the prime count of the
     # window [100 - 91, 100 + 91]; the ceiling must catch that
     records = [TraceRecord(i, 0, 100) for i in range(50)]
-    p, _, n = columns(records)
+    p, n = columns(records)
     stats = multiplicity_stats(p, n)
     assert not stats.ceiling_ok
     assert stats.ceiling_failures == ((100, 50, 40),)
@@ -565,8 +568,8 @@ def standin_pools(monkeypatch):
     sieved = [0]
     real_segments = census.iter_prime_segments
 
-    def counted_segments(*args):
-        for seg in real_segments(*args):
+    def counted_segments(*args, **kwargs):
+        for seg in real_segments(*args, **kwargs):
             sieved[0] += 1
             yield seg
 
@@ -582,8 +585,11 @@ def standin_pools(monkeypatch):
 def test_pool_keeps_a_bounded_window_and_sieves_lazily(monkeypatch, standin_pools):
     # 430 primes below 3000 in segments of 256, tasks of at most 10 primes
     monkeypatch.setattr(census, "TASK_PRIMES", 10)
-    one = run_census(CURVE, 3000, threads=1, segment_len=256)
-    two = run_census(CURVE, 3000, threads=2, segment_len=256)
+    monkeypatch.setattr(
+        census, "iter_prime_segments", partial(census.iter_prime_segments, segment_len=256)
+    )
+    one = run_census(CURVE, 3000, threads=1)
+    two = run_census(CURVE, 3000, threads=2)
     assert two == one
     (pool,) = standin_pools
     assert pool.peak == census.TASKS_PER_WORKER * 2  # full, never overfull
@@ -627,9 +633,12 @@ def test_census_memory_per_good_prime(tmp_path, monkeypatch):
     # The traced run reads each n(p) from a first, untraced run: the same
     # rows, without the short-lived integers of point counting, which would
     # make tracemalloc's hook some 60 times slower than the census itself.
-    # Columns hold 25 bytes a row; the segment's prime tuple is a constant.
-    # Measured at x = 5e4: 91 bytes a row with columns, 214 with one
-    # TraceRecord per row and a Counter over every n.
+    # Columns hold 17 bytes a row; the segment's prime tuple is a constant.
+    # Measured at x = 5e4 under pytest on Python 3.11: 81.4 bytes a row with
+    # the p and n columns (82.8 with this test alone), 89.9 with an a_p
+    # column as well, 214 with one TraceRecord per row and a Counter over
+    # every n. pytest has already imported heapq, which summarize imports;
+    # a bare interpreter also counts that import, about 6.5 bytes a row.
     first = run_census(CURVE, 50_000, threads=1)
     orders = dict(zip(first.p, first.n))
     monkeypatch.setattr(curves, "_group_order_short", lambda p, a, b: orders[p])
@@ -641,4 +650,4 @@ def test_census_memory_per_good_prime(tmp_path, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / len(result.n) < 140
+    assert peak / len(result.n) < 86

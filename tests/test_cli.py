@@ -510,6 +510,33 @@ def test_bad_worker_count_exits_two_before_output(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--x", "100000000000000000000"),
+        ("pomerance", "--x", "100000000000000000000"),
+        ("sieve-report", "--x", "100000000000000000000", "--y", "5", "--z", "300"),
+        ("sieve-report", "--x", "1000", "--y", "5", "--z", "1e30"),
+        ("order-stats", "--t", "10", "--cap", "5000000000"),
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_exits_two_before_output(tmp_path, capsys, monkeypatch, argv):
+    # the sieve's 2^63 cutoff and the SPF table's 2^32 limit, checked
+    # before --out is created and before any counting
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before its range was checked")
+
+    monkeypatch.setattr(eclab.cli, "run_census", refuse)
+    monkeypatch.setattr(eclab.cli, "order_stats", refuse)
+    monkeypatch.delenv("ECLAB_THREADS", raising=False)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path)
     cases = [

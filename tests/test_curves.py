@@ -29,7 +29,7 @@ from eclab.curves import (
     naive_count,
     parse_curve_line,
     reduce_mod,
-    trace_record,
+    trace_records,
 )
 from eclab.primes import primes_up_to
 
@@ -94,7 +94,8 @@ def test_count_points_hand_examples():
     c = WeierstrassCurve(0, 0, 0, 1, 1)
     assert count_points(reduce_mod(c, 5)) == 9
     assert brute_count(c, 5) == 9
-    assert trace_record(c, 5) == (5, -3, 9)
+    ps, ns, bad = trace_records(c, [5])
+    assert (list(ps), list(ns), bad) == ([5], [9], [])
     # y^2 = x^3 + x over F_3 has 4 points
     c2 = WeierstrassCurve(0, 0, 0, 1, 0)
     assert count_points(reduce_mod(c2, 3)) == 4
@@ -453,20 +454,23 @@ def test_quadratic_twist_orders_sum_to_2p_plus_2():
 @pytest.mark.parametrize("label", LABELS)
 def test_hasse_window(label):
     curve = get_curve(label)
-    for p in primes_up_to(2000):
-        if reduce_mod(curve, p).good:
-            rec = trace_record(curve, p)
-            assert rec.a_p * rec.a_p <= 4 * p
-            assert rec.n == p + 1 - rec.a_p
-            assert rec.n / 16 <= p <= 16 * rec.n
+    primes = primes_up_to(2000)
+    ps, ns, bad = trace_records(curve, primes)
+    assert list(ps) == [p for p in primes if reduce_mod(curve, p).good]
+    assert bad == [p for p in primes if not reduce_mod(curve, p).good]
+    for p, n in zip(ps, ns):
+        a = p + 1 - n
+        assert a * a <= 4 * p
+        assert n / 16 <= p <= 16 * n
 
 
 def test_known_traces_for_37a():
     curve = get_curve("37a")
-    for p, a in KNOWN_37A_TRACES.items():
-        rec = trace_record(curve, p)
-        assert rec.a_p == a, p
-        assert rec.n == brute_count(curve, p), p
+    ps, ns, bad = trace_records(curve, list(KNOWN_37A_TRACES))
+    assert list(ps) == list(KNOWN_37A_TRACES) and bad == []
+    for p, n in zip(ps, ns):
+        assert p + 1 - n == KNOWN_37A_TRACES[p], p
+        assert n == brute_count(curve, p), p
 
 
 def test_reduce_mod_examples():
@@ -489,8 +493,8 @@ def test_bad_reduction_errors():
         count_points(rc)
     with pytest.raises(BadReductionError):
         naive_count(rc)
-    with pytest.raises(BadReductionError):
-        trace_record(get_curve("37a"), 37)
+    ps, ns, bad = trace_records(get_curve("37a"), [37])
+    assert (len(ps), len(ns), bad) == (0, 0, [37])
 
 
 def test_builtin_registry():

@@ -9,6 +9,9 @@ import eclab.arith as arith
 import eclab.pseudoprimes as pseudoprimes
 from eclab.arith import factorize
 from eclab.pseudoprimes import (
+    FERMAT_BIT,
+    PRIME_BIT,
+    PSEUDO_BIT,
     NoCrtSolutionError,
     classify,
     count_by_order,
@@ -64,9 +67,9 @@ def test_fermat_examples():
 def test_fermat_unit_convention():
     assert fermat_holds(2, 1)
     assert fermat_holds(2, 1, strict=True)
-    v = classify(2, 1)
-    assert v.fermat and not v.prime and not v.pseudoprime
-    assert v.unit
+    # n = 1 passes, and is neither prime nor a pseudoprime
+    assert classify(2, 1) == FERMAT_BIT
+    assert classify(2, 1, strict=True) == FERMAT_BIT
 
 
 def test_fermat_validation():
@@ -77,10 +80,34 @@ def test_fermat_validation():
 
 
 def test_classify_examples():
-    assert classify(2, 341).pseudoprime
-    v = classify(2, 11)
-    assert v.prime and v.fermat and not v.pseudoprime
-    assert not classify(2, 12).fermat
+    assert classify(2, 341) == FERMAT_BIT | PSEUDO_BIT
+    assert classify(2, 11) == FERMAT_BIT | PRIME_BIT
+    assert classify(2, 12) == 0
+
+
+def test_verdict_byte_matches_its_definition():
+    # each bit from its own definition: a direct pow, trial-division
+    # primality, and "passes, composite, n != 1" for the pseudoprime bit
+    for b in (2, 3, 5, 6, 10):
+        for strict in (False, True):
+            for n in range(1, 3001):
+                if strict:
+                    passes = pow(b, n - 1, n) == 1 % n
+                else:
+                    passes = pow(b, n, n) == b % n
+                prime = trial_division_prime(n)
+                want = (
+                    FERMAT_BIT * passes
+                    | PRIME_BIT * prime
+                    | PSEUDO_BIT * (passes and not prime and n != 1)
+                )
+                assert classify(b, n, strict) == want, (b, n, strict)
+    assert classify(2, 1) == FERMAT_BIT
+    # strict mode: a prime dividing the base fails b^(p-1) = 1 (mod p)
+    for b, p in ((2, 2), (3, 3), (5, 5), (6, 2), (6, 3), (10, 2), (10, 5)):
+        assert classify(b, p, strict=True) == PRIME_BIT
+        assert classify(b, p) == FERMAT_BIT | PRIME_BIT
+    assert classify(2, 341) == FERMAT_BIT | PSEUDO_BIT
 
 
 def test_fermat_matches_direct_pow_scan():

@@ -8,11 +8,11 @@ import pytest
 
 import eclab.gl2
 import eclab.sieve
-from eclab.census import FERMAT_BIT, PRIME_BIT, PSEUDO_BIT, CensusResult, run_census
+from eclab.census import CensusResult, run_census
 from eclab.curves import TraceRecord, get_curve
 from eclab.gl2 import class_density
 from eclab.primes import primes_up_to
-from eclab.pseudoprimes import fermat_holds
+from eclab.pseudoprimes import FERMAT_BIT, PRIME_BIT, PSEUDO_BIT, fermat_holds
 from eclab.sieve import (
     EULER_GAMMA,
     EXP_EULER_GAMMA,
@@ -275,8 +275,8 @@ def _hand_census():
     ]
     prime, pseudo = FERMAT_BIT | PRIME_BIT, FERMAT_BIT | PSEUDO_BIT
     verdicts = bytearray([0, 0, prime, pseudo, prime])
-    p, a_p, n = (array("q", col) for col in zip(*records))
-    return CensusResult(get_curve("37a"), 2000, 3, True, p, a_p, n, verdicts, [37])
+    p, _, n = (array("q", col) for col in zip(*records))
+    return CensusResult(get_curve("37a"), 2000, 3, True, p, n, verdicts, [37])
 
 
 def test_build_sieve_report():
