@@ -5,8 +5,10 @@ plus the verdict byte of n from `pseudoprimes.classify`: bit 0 set when n
 passes the Fermat test for the chosen base, bit 1 when n is prime, bit 2
 when n is a Fermat pseudoprime (passes, composite, n != 1). a_p = p + 1 - n
 is computed only where it is printed. A row costs 17 bytes from the
-counting loop to the writers; no per-prime object is built. A pool keeps at
-most two tasks per worker in flight, and the multiplicity count holds only
+counting loop to the writers; no per-prime object is built. With more than
+one worker, each worker is a forked process that counts its share of the
+tasks and streams the columns back as raw bytes down its own pipe; a full
+pipe holds it back until the parent reads. The multiplicity count holds only
 the orders still inside the Hasse window, so memory grows with the columns
 alone.
 Counting is deterministic, so worker count never changes the output.
@@ -18,9 +20,10 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from collections import Counter, deque
-from contextlib import nullcontext
+from collections import Counter
+from itertools import islice
 from math import isqrt
+from struct import Struct
 from typing import NamedTuple
 
 from .arith import divisors, factorize, is_prime, prime_factors
@@ -36,10 +39,8 @@ from .pseudoprimes import (
     prime_order,
 )
 
-# primes per census task: small enough that a pool's workers finish together
+# primes per census task: small enough that the workers finish together
 TASK_PRIMES = 2048
-# tasks a pool may hold per worker, submitted and not yet consumed
-TASKS_PER_WORKER = 2
 
 
 class _CensusFields(NamedTuple):
@@ -77,7 +78,7 @@ class CensusResult(_CensusFields):
 
 
 def _census_chunk(task):
-    """One task of the census; top level so process pools can pickle it.
+    """One task of the census, run in a worker or in process.
 
     Returns the p and n columns, the verdict bytes and the bad primes.
     """
@@ -107,24 +108,133 @@ def worker_count(threads: int | None = None) -> int:
     return threads
 
 
-def _windowed(pool, tasks, window: int):
-    """_census_chunk over `tasks` in `pool`, results in task order.
+# A worker's message header: (rows, bad primes) for a task's result, then
+# its columns; (_RAISED, size) and a pickled exception; or (_END, 0).
+_HEADER = Struct("=qq")
+_RAISED, _END = -1, -2
 
-    At most `window` tasks are submitted and not yet consumed, and the next
-    task is drawn only when it is submitted. If a task raised, the tasks
-    still pending are cancelled and the error propagates.
+
+def _messages(tasks):
+    """A worker's messages, as bytes: one per task, then the trailer.
+
+    A task that raises ends the stream with its pickled exception instead.
     """
-    pending = deque()
     try:
         for task in tasks:
-            if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(_census_chunk, task))
-        while pending:
-            yield pending.popleft().result()
+            ps, ns, verdicts, bad = _census_chunk(task)
+            yield b"".join(
+                (_HEADER.pack(len(ps), len(bad)), ps, ns, verdicts, array("q", bad))
+            )
+    except Exception as exc:
+        import pickle
+
+        blob = pickle.dumps(exc)
+        yield _HEADER.pack(_RAISED, len(blob)) + blob
+    else:
+        yield _HEADER.pack(_END, 0)
+
+
+def _read_exact(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) != size:
+        raise ChildProcessError("a census worker ended before its trailer")
+    return data
+
+
+def _receive(reader):
+    """The next task's chunk from a worker's pipe, or None at its trailer.
+
+    Re-raises the exception of a task that raised.
+    """
+    rows, extra = _HEADER.unpack(_read_exact(reader, _HEADER.size))
+    if rows == _END:
+        return None
+    if rows == _RAISED:
+        import pickle
+
+        raise pickle.loads(_read_exact(reader, extra))
+    ps, ns, bad = array("q"), array("q"), array("q")
+    ps.frombytes(_read_exact(reader, ps.itemsize * rows))
+    ns.frombytes(_read_exact(reader, ns.itemsize * rows))
+    verdicts = _read_exact(reader, rows)
+    bad.frombytes(_read_exact(reader, bad.itemsize * extra))
+    return ps, ns, verdicts, bad
+
+
+def _forked_chunks(tasks, workers: int):
+    """_census_chunk over `tasks` in `workers` forked processes, in task order.
+
+    Worker w runs tasks w, w + workers, w + 2 workers, ... from its own copy
+    of the unstarted `tasks` generator, and streams each result down its own
+    pipe. The results are read from the pipes in turn, so a worker whose pipe
+    is full waits, and none runs far ahead of the consumer. Raises
+    ChildProcessError when a worker's stream ends before its trailer or a
+    worker exits non-zero. Every worker is reaped before this returns or
+    raises, and also when the consumer stops early.
+    """
+    children = []  # (pid, reader) for each worker
+    finished = False
+    try:
+        for w in range(workers):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(rfd)
+                    for _, reader in children:
+                        reader.close()
+                    with open(wfd, "wb") as out:
+                        for message in _messages(islice(tasks, w, None, workers)):
+                            out.write(message)
+                            out.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            children.append((pid, open(rfd, "rb")))
+        t = 0
+        while (chunk := _receive(children[t % workers][1])) is not None:
+            yield chunk
+            t += 1
+        # the task stream ends at task t, so every other worker is done too
+        for i in range(1, workers):
+            if _receive(children[(t + i) % workers][1]) is not None:
+                raise ChildProcessError("census workers disagree on the task count")
+        finished = True
     finally:
-        for future in pending:
-            future.cancel()
+        for _, reader in children:
+            reader.close()
+        if not finished:
+            from signal import SIGKILL
+
+            for pid, _ in children:
+                os.kill(pid, SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    if any(codes):
+        raise ChildProcessError(f"census workers exited with codes {codes}")
+
+
+def _prime_runs(x: int):
+    """The primes p <= x in runs of TASK_PRIMES, the last run shorter.
+
+    Runs cross segment boundaries, so every task but the last holds the same
+    number of primes and the workers' fixed shares stay balanced.
+    """
+    carry = ()
+    for seg in iter_prime_segments(x):
+        primes = carry + seg.primes
+        cut = len(primes) - len(primes) % TASK_PRIMES
+        for i in range(0, cut, TASK_PRIMES):
+            yield primes[i : i + TASK_PRIMES]
+        carry = primes[cut:]
+    if carry:
+        yield carry
 
 
 def run_census(
@@ -136,40 +246,30 @@ def run_census(
 ) -> CensusResult:
     """Count points at every prime p <= x and classify each group order.
 
-    Each segment's primes go out in tasks of at most TASK_PRIMES, so the
-    process pool of threads > 1 (default: see worker_count) stays balanced
-    even when x spans only a segment or two. A segment is sieved only when
-    its first task is submitted, and the pool holds at most TASKS_PER_WORKER
-    tasks per worker. Task results are concatenated in order, so output is
-    independent of threads.
+    The primes go out in tasks of TASK_PRIMES consecutive primes, so the
+    workers of threads > 1 (default: see worker_count) stay balanced even
+    when x spans only a segment or two. The workers are forked processes
+    (see _forked_chunks); each sieves the segments itself, so nothing is
+    sent to it, and a full pipe holds it back. Without os.fork the census
+    runs in this process. Task results are concatenated in order, so output
+    is independent of threads.
     """
     if x < 2:
         raise ValueError(f"census needs x >= 2, got {x}")
     workers = worker_count(threads)
-    tasks = (
-        (curve, seg.primes[i : i + TASK_PRIMES], base, strict)
-        for seg in iter_prime_segments(x)
-        for i in range(0, len(seg.primes), TASK_PRIMES)
-    )
+    tasks = ((curve, primes, base, strict) for primes in _prime_runs(x))
     ps, ns = array("q"), array("q")
     verdicts = bytearray()
     skipped: list[int] = []
-    if workers > 1:
-        # Imported here, so a process that never starts a pool never loads
-        # multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers)
-        chunks = _windowed(pool, tasks, TASKS_PER_WORKER * workers)
+    if workers > 1 and hasattr(os, "fork"):
+        chunks = _forked_chunks(tasks, workers)
     else:
-        pool = nullcontext()
         chunks = map(_census_chunk, tasks)
-    with pool:
-        for chunk_p, chunk_n, bits, skip in chunks:
-            ps.extend(chunk_p)
-            ns.extend(chunk_n)
-            verdicts.extend(bits)
-            skipped.extend(skip)
+    for chunk_p, chunk_n, bits, skip in chunks:
+        ps.extend(chunk_p)
+        ns.extend(chunk_n)
+        verdicts.extend(bits)
+        skipped.extend(skip)
     return CensusResult(curve, x, base, strict, ps, ns, verdicts, skipped)
 
 

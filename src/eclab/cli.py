@@ -339,8 +339,11 @@ def _cmd_sieve_report(args) -> Report:
     if (args.y is None) != (args.z is None):
         raise UsageError("give both --y and --z or neither")
     curve = _load_curve(args)
-    if args.y is not None and args.y >= args.z:
-        raise UsageError(f"need y < z, got y={args.y} z={args.z}")
+    if args.y is not None:
+        if not all(math.isfinite(v) and v >= 0 for v in (args.y, args.z)):
+            raise UsageError(f"need finite y, z >= 0, got y={args.y} z={args.z}")
+        if args.y >= args.z:
+            raise UsageError(f"need y < z, got y={args.y} z={args.z}")
     if args.y is not None:
         y, z = args.y, args.z
         preset_meta = {"preset": None}

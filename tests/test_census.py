@@ -1,13 +1,13 @@
 """Census records, verdict flags, decomposition, congruence and multiplicity stats."""
-import concurrent.futures
 import json
 import math
 import os
+import signal
+import time
 import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
@@ -158,13 +158,13 @@ def test_worker_count(monkeypatch):
 
 
 def test_census_deterministic_across_workers(monkeypatch):
-    # x = 3000 in segments of 256 is 12 chunks, so the pool joins the
-    # chunks of both workers; x = 500 fits in one default segment. Tasks
-    # of 10 primes cut each 1024-wide segment of the last case into ~17.
+    # x = 500 is one task in one default segment. x = 3000 in segments of
+    # 256 is 12 segments: tasks of 10 primes cross their boundaries, and
+    # tasks of 64 primes make 7 tasks that the workers share unevenly.
     for x, segment_len, task_primes in (
         (500, DEFAULT_SEGMENT, TASK_PRIMES),
-        (3000, 256, TASK_PRIMES),
-        (3000, 1024, 10),
+        (3000, 256, 10),
+        (3000, 256, 64),
     ):
         monkeypatch.setattr(census, "TASK_PRIMES", task_primes)
         monkeypatch.setattr(
@@ -173,10 +173,11 @@ def test_census_deterministic_across_workers(monkeypatch):
             partial(primes.iter_prime_segments, segment_len=segment_len),
         )
         one = run_census(CURVE, x, threads=1)
-        two = run_census(CURVE, x, threads=2)
-        assert one.records == two.records
-        assert bytes(one.verdicts) == bytes(two.verdicts)
-        assert one.skipped_bad == two.skipped_bad
+        for workers in (2, 3):
+            many = run_census(CURVE, x, threads=workers)
+            assert many.records == one.records
+            assert bytes(many.verdicts) == bytes(one.verdicts)
+            assert many.skipped_bad == one.skipped_bad
         ps = [r.p for r in one.records]
         assert ps == sorted(ps) and sorted(ps + one.skipped_bad) == primes_up_to(x)
 
@@ -211,8 +212,15 @@ def test_census_computes_short_model_once_per_task(monkeypatch):
     )
     monkeypatch.setattr(census, "TASK_PRIMES", 100)
     result = run_census(CURVE, 3000, threads=1)
-    # 430 primes in one segment make ceil(430 / 100) = 5 tasks
+    # 430 primes make ceil(430 / 100) = 5 tasks, also when they span 12
+    # segments: a task takes its primes across segment boundaries
     assert len(result.records) + len(result.skipped_bad) == 430
+    assert calls == [CURVE.coefficients()] * 5
+    monkeypatch.setattr(
+        census, "iter_prime_segments", partial(primes.iter_prime_segments, segment_len=256)
+    )
+    calls.clear()
+    assert run_census(CURVE, 3000, threads=1) == result
     assert calls == [CURVE.coefficients()] * 5
 
 
@@ -502,127 +510,177 @@ def test_prime_window_counts_match_bisection():
     assert census._prime_window_counts([]) == {}
 
 
-# -- bounded task window -----------------------------------------------------------
-
-
-class _TrackedFuture:
-    """A future that tells its pool when its result is read or it is cancelled."""
-
-    def __init__(self, pool, future):
-        self.pool, self.future, self.settled = pool, future, False
-
-    def _settle(self):
-        if not self.settled:
-            self.settled = True
-            self.pool.outstanding -= 1
-
-    def result(self):
-        try:
-            # a bounded wait, so a stalled submit loop fails instead of hanging
-            return self.future.result(timeout=60)
-        except Exception:
-            self.pool.failed = True
-            raise
-        finally:
-            self._settle()
-
-    def cancel(self):
-        self._settle()
-        return self.future.cancel()
-
-
-class ThreadPoolStandIn:
-    """ProcessPoolExecutor on threads, counting the tasks submitted and not yet
-    consumed or cancelled, and the submits that follow a failed result."""
-
-    def __init__(self, workers, sieved):
-        self.pool = ThreadPoolExecutor(workers)
-        self.sieved, self.sieved_before = sieved, sieved[0]
-        self.outstanding = self.peak = 0
-        self.failed = False
-        self.submits = []  # (segments sieved since the pool opened, first prime)
-        self.late_submits = 0
-        self.futures = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.pool.shutdown(wait=True)
-        return False
-
-    def submit(self, fn, task):
-        self.late_submits += self.failed
-        self.submits.append((self.sieved[0] - self.sieved_before, task[1][0]))
-        future = _TrackedFuture(self, self.pool.submit(fn, task))
-        self.futures.append(future)
-        self.outstanding += 1
-        self.peak = max(self.peak, self.outstanding)
-        return future
+# -- forked workers ------------------------------------------------------------------
+# A patched _census_chunk is inherited across fork, so these tests inject
+# faults into the workers directly.
 
 
 @pytest.fixture
-def standin_pools(monkeypatch):
-    """Patch the process pool with ThreadPoolStandIn; returns the pools made."""
-    pools = []
-    sieved = [0]
-    real_segments = census.iter_prime_segments
+def deadline():
+    """Fail a test whose workers hang, instead of stalling the suite."""
 
-    def counted_segments(*args, **kwargs):
-        for seg in real_segments(*args, **kwargs):
-            sieved[0] += 1
-            yield seg
+    def expire(signum, frame):
+        raise TimeoutError("the census workers hung")
 
-    def make(workers):
-        pools.append(ThreadPoolStandIn(workers, sieved))
-        return pools[-1]
-
-    monkeypatch.setattr(census, "iter_prime_segments", counted_segments)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
-    return pools
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
-def test_pool_keeps_a_bounded_window_and_sieves_lazily(monkeypatch, standin_pools):
-    # 430 primes below 3000 in segments of 256, tasks of at most 10 primes
-    monkeypatch.setattr(census, "TASK_PRIMES", 10)
-    monkeypatch.setattr(
-        census, "iter_prime_segments", partial(census.iter_prime_segments, segment_len=256)
-    )
-    one = run_census(CURVE, 3000, threads=1)
-    two = run_census(CURVE, 3000, threads=2)
-    assert two == one
-    (pool,) = standin_pools
-    assert pool.peak == census.TASKS_PER_WORKER * 2  # full, never overfull
-    assert pool.outstanding == 0 and all(f.settled for f in pool.futures)
-    # a segment is sieved when its first task is submitted, not before
-    first_primes = [first for _, first in pool.submits]
-    assert [sieved for sieved, _ in pool.submits] == [1 + p // 256 for p in first_primes]
-    assert sorted(first_primes) == first_primes and len(first_primes) > 12
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_failed_task_stops_submission(monkeypatch, standin_pools):
-    # 430 primes below 3000 in one segment, tasks of at most 10 primes; the
-    # fifth task, primes[40:50], raises
-    monkeypatch.setattr(census, "TASK_PRIMES", 10)
-    real_chunk = census._census_chunk
-    doomed = primes_up_to(3000)[40]
+def in_worker_only(action):
+    """A _census_chunk stand-in that runs `action` in a forked worker and
+    refuses to run in this process, which `action` might end."""
+    parent = os.getpid()
 
+    def chunk(task):
+        if os.getpid() == parent:
+            raise AssertionError("the census ran in process")
+        return action(task)
+
+    return chunk
+
+
+# tasks of 10 primes below 3000 (one segment): the fifth, primes[40:50],
+# is the one a fault is injected into
+DOOMED = primes_up_to(3000)[40]
+REAL_CHUNK = census._census_chunk
+REAL_MESSAGES = census._messages
+
+
+@pytest.mark.usefixtures("deadline")
+def test_task_error_reaches_the_caller(monkeypatch):
     def failing_chunk(task):
-        if task[1][0] == doomed:
-            raise ArithmeticError("injected")
-        return real_chunk(task)
+        if task[1][0] == DOOMED:
+            raise ArithmeticError(f"injected at p={DOOMED}")
+        return REAL_CHUNK(task)
 
-    monkeypatch.setattr(census, "_census_chunk", failing_chunk)
-    with pytest.raises(ArithmeticError, match="injected"):
+    monkeypatch.setattr(census, "TASK_PRIMES", 10)
+    monkeypatch.setattr(census, "_census_chunk", in_worker_only(failing_chunk))
+    for workers in (2, 3):
+        with pytest.raises(ArithmeticError) as info:
+            run_census(CURVE, 3000, threads=workers)
+        assert info.type is ArithmeticError
+        assert str(info.value) == f"injected at p={DOOMED}"
+        assert_no_children()
+
+
+def _exit_in_task(task):
+    if task[1][0] == DOOMED:
+        os._exit(0)
+    return REAL_CHUNK(task)
+
+
+def _kill_in_task(task):
+    if task[1][0] == DOOMED:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return REAL_CHUNK(task)
+
+
+def _exit_code_after_trailer(tasks):
+    yield from REAL_MESSAGES(tasks)
+    raise RuntimeError("after the trailer")  # the worker exits with code 1
+
+
+def _cut_short(tasks):
+    yield next(REAL_MESSAGES(tasks))[:-1]  # then exit 0, without a trailer
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("_census_chunk", in_worker_only(_exit_in_task)),
+        ("_census_chunk", in_worker_only(_kill_in_task)),
+        ("_messages", _exit_code_after_trailer),
+        ("_messages", _cut_short),
+    ],
+    ids=["exit", "sigkill", "exit code after trailer", "short message"],
+)
+@pytest.mark.usefixtures("deadline")
+def test_broken_worker_raises_and_returns_nothing(monkeypatch, name, fake):
+    monkeypatch.setattr(census, "TASK_PRIMES", 10)
+    monkeypatch.setattr(census, name, fake)
+    with pytest.raises(ChildProcessError):
         run_census(CURVE, 3000, threads=2)
-    (pool,) = standin_pools
-    window = census.TASKS_PER_WORKER * 2
-    # each consumed result frees one slot, so the tasks after the failing
-    # one that went out before its result was read fill the window, and no
-    # task goes out after it
-    assert len(pool.submits) == 4 + window
-    assert pool.late_submits == 0
-    assert pool.outstanding == 0 and all(f.settled for f in pool.futures)
+    assert_no_children()
+
+
+def _big_chunk_logger(log_path, rows):
+    """A _census_chunk stand-in that logs each task start to `log_path` and
+    returns `rows` rows, more than a pipe holds."""
+    column = array("q", range(rows))
+
+    def chunk(task):
+        with open(log_path, "a") as fh:
+            fh.write(f"{task}\n")
+        return column, column, bytes(rows), [task]
+
+    return chunk
+
+
+def _starts(log_path):
+    return len(log_path.read_text().splitlines()) if log_path.exists() else 0
+
+
+def _settled_starts(log_path):
+    """The task-start count once it has stopped growing for half a second."""
+    last = -1
+    for _ in range(100):
+        now = _starts(log_path)
+        if now == last:
+            return now
+        last = now
+        time.sleep(0.5)
+    raise AssertionError("the workers kept starting tasks")
+
+
+@pytest.mark.usefixtures("deadline")
+def test_paused_consumer_holds_the_workers_back(tmp_path, monkeypatch):
+    log = tmp_path / "starts.log"
+    monkeypatch.setattr(census, "_census_chunk", in_worker_only(_big_chunk_logger(log, 10_000)))
+    chunks = census._forked_chunks(iter(range(200)), 2)
+    first = next(chunks)
+    assert list(first[3]) == [0]
+    paused = _settled_starts(log)
+    # worker 0 has started tasks 0 and 2, and worker 1 task 1: the result of
+    # each task fills a pipe. A few more would still be a bound, 200 not.
+    assert 3 <= paused <= 6
+    time.sleep(0.5)
+    assert _starts(log) == paused
+    rest = list(chunks)  # resumed, the workers finish every task in order
+    assert [bad for *_, (bad,) in rest] == list(range(1, 200))
+    assert _starts(log) == 200
+    assert_no_children()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_closing_the_consumer_early_reaps_the_workers(tmp_path, monkeypatch):
+    log = tmp_path / "starts.log"
+    monkeypatch.setattr(census, "_census_chunk", in_worker_only(_big_chunk_logger(log, 10_000)))
+    for workers in (1, 2, 3):
+        chunks = census._forked_chunks(iter(range(200)), workers)
+        next(chunks)
+        chunks.close()
+        assert_no_children()
+
+
+def test_census_runs_in_process_without_fork(monkeypatch):
+    monkeypatch.setattr(census, "TASK_PRIMES", 100)
+    want = run_census(CURVE, 3000, threads=1)
+    pids = []
+    real_chunk = census._census_chunk
+    monkeypatch.setattr(
+        census, "_census_chunk", lambda task: pids.append(os.getpid()) or real_chunk(task)
+    )
+    monkeypatch.delattr(os, "fork")
+    assert run_census(CURVE, 3000, threads=2) == want
+    assert pids == [os.getpid()] * 5  # ceil(430 / 100) tasks, all in process
 
 
 # -- memory ----------------------------------------------------------------------

@@ -562,6 +562,9 @@ def test_usage_errors(tmp_path, capsys):
     ("--x", "300", "--y", "5", "--z", "50", "--s", "0"),
     ("--x", "10", "--y", "2", "--z", "5"),
     ("--x", "10"),
+    ("--x", "1000", "--y=-5", "--z=-1"),
+    ("--x", "1000", "--y", "5", "--z", "inf"),
+    ("--x", "1000", "--y", "nan", "--z", "50"),
 ])
 def test_sieve_report_rejects_bad_input_before_counting(tmp_path, capsys, monkeypatch, argv):
     def counted(*args, **kwargs):
