@@ -21,7 +21,7 @@ import os
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from struct import Struct
 from typing import NamedTuple
@@ -226,15 +226,9 @@ def _prime_runs(x: int):
     Runs cross segment boundaries, so every task but the last holds the same
     number of primes and the workers' fixed shares stay balanced.
     """
-    carry = ()
-    for seg in iter_prime_segments(x):
-        primes = carry + seg.primes
-        cut = len(primes) - len(primes) % TASK_PRIMES
-        for i in range(0, cut, TASK_PRIMES):
-            yield primes[i : i + TASK_PRIMES]
-        carry = primes[cut:]
-    if carry:
-        yield carry
+    primes = chain.from_iterable(seg.primes for seg in iter_prime_segments(x))
+    while run := tuple(islice(primes, TASK_PRIMES)):
+        yield run
 
 
 def run_census(
@@ -650,8 +644,9 @@ RECORDS_HEADER = "p,a_p,n,is_prime,is_pseudoprime,fermat"
 
 
 def write_records_csv(result: CensusResult, path: str) -> None:
-    # the is_prime, is_pseudoprime, fermat cells of each verdict byte
-    flags = [f",{(v >> 1) & 1},{(v >> 2) & 1},{v & 1}\n" for v in range(8)]
+    # the is_prime, is_pseudoprime, fermat cells of each verdict byte value
+    bits = (PRIME_BIT, PSEUDO_BIT, FERMAT_BIT)
+    flags = ["".join(f",{int(bool(v & b))}" for b in bits) + "\n" for v in range(256)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RECORDS_HEADER + "\n")
         for p, n, v in zip(result.p, result.n, result.verdicts):

@@ -344,7 +344,6 @@ def _cmd_sieve_report(args) -> Report:
             raise UsageError(f"need finite y, z >= 0, got y={args.y} z={args.z}")
         if args.y >= args.z:
             raise UsageError(f"need y < z, got y={args.y} z={args.z}")
-    if args.y is not None:
         y, z = args.y, args.z
         preset_meta = {"preset": None}
     else:

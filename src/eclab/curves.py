@@ -4,10 +4,11 @@ Point counting takes one of three paths per prime: full enumeration for p in
 {2, 3} (no short Weierstrass model exists there), a closed form when the
 short model y^2 = x^3 + Ax + B has j = 0 (A = 0) or j = 1728 (B = 0), and
 baby-step/giant-step order finding inside the Hasse window otherwise.
-The census counts through trace_records, which computes the integer short
-model A = -27 c4, B = -54 c6 once per task of primes and then reduces only
-A, B and the discriminant at each prime. It appends p and n to two
-array('q') columns, so a census row costs 16 bytes and no tuple.
+count_points and the census's trace_records share one step per prime that
+takes that choice and checks the Hasse bound a_p^2 <= 4p. trace_records
+computes the integer short model A = -27 c4, B = -54 c6 once per task of
+primes, reduces only A, B and the discriminant at each prime, and appends
+p and n to two array('q') columns: 16 bytes a census row and no tuple.
 
 The closed form (Ireland & Rosen, Ch. 18, Thms 4 and 5) is n = p + 1 at the
 supersingular primes (p = 2 mod 3 for j = 0, p = 3 mod 4 for j = 1728).
@@ -130,12 +131,11 @@ def reduce_mod(curve: WeierstrassCurve, p: int) -> ReducedCurve:
 
 
 def count_points(rc: ReducedCurve) -> int:
-    """|E(F_p)| including the point at infinity. Pure function of the input."""
+    """|E(F_p)| including the point at infinity. Pure function of the input.
+    Raises ArithmeticError on a trace outside the Hasse bound."""
     if not rc.good:
         raise BadReductionError(f"bad reduction at {rc.p}")
-    if rc.p <= 3:
-        return _count_enumeration(rc)
-    return _group_order_short(rc.p, *_short_model(rc))
+    return _order_at(rc.p, rc[1:6], *_short_coefficients(*rc[1:6]))
 
 
 def naive_count(rc: ReducedCurve) -> int:
@@ -144,7 +144,7 @@ def naive_count(rc: ReducedCurve) -> int:
         raise BadReductionError(f"bad reduction at {rc.p}")
     p = rc.p
     if p <= 3:
-        return _count_enumeration(rc)
+        return _count_enumeration(*rc[:6])
     cnt = bytearray(p)
     for u in range(p):
         cnt[u * u % p] += 1
@@ -164,10 +164,11 @@ def trace_records(curve: WeierstrassCurve, primes) -> tuple[array, array, list[i
     Every p must be prime; none is re-checked. The integer short model is
     computed once per call, so each p >= 5 costs three reductions (A, B and
     the discriminant) and one count. The two columns are array('q'), 8 bytes
-    a row, and they pickle as raw bytes. Raises ArithmeticError on a trace
-    a_p = p + 1 - n outside the Hasse bound.
+    a row, which census workers stream as raw bytes. Raises ArithmeticError
+    on a trace a_p = p + 1 - n outside the Hasse bound.
     """
-    A, B = _short_coefficients(*curve.coefficients())
+    coeffs = curve.coefficients()
+    A, B = _short_coefficients(*coeffs)
     disc = curve.disc
     ps, ns = array("q"), array("q")
     bad = []
@@ -175,26 +176,32 @@ def trace_records(curve: WeierstrassCurve, primes) -> tuple[array, array, list[i
         if disc % p == 0:
             bad.append(p)
             continue
-        if p <= 3:
-            n = count_points(reduce_mod(curve, p))
-        else:
-            n = _group_order_short(p, A % p, B % p)
-        a = p + 1 - n
-        if a * a > 4 * p:
-            raise ArithmeticError(f"trace {a} at p={p} violates the Hasse bound")
+        ns.append(_order_at(p, coeffs, A, B))
         ps.append(p)
-        ns.append(n)
     return ps, ns, bad
 
 
-def _count_enumeration(rc: ReducedCurve) -> int:
+def _order_at(p: int, coeffs, A: int, B: int) -> int:
+    """#E(F_p) at a good p for count_points and trace_records alike: the long
+    model coeffs is enumerated at p <= 3, y^2 = x^3 + Ax + B counted above.
+    Raises ArithmeticError on a trace outside the Hasse bound."""
+    if p <= 3:
+        n = _count_enumeration(p, *coeffs)
+    else:
+        n = _group_order_short(p, A % p, B % p)
+    a = p + 1 - n
+    if a * a > 4 * p:
+        raise ArithmeticError(f"trace {a} at p={p} violates the Hasse bound")
+    return n
+
+
+def _count_enumeration(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
     """Full (x, y) sweep of the long equation: the count for p in {2, 3} and
     the O(p^2) brute-force oracle of the tests."""
-    p = rc.p
     n = 1
     for x in range(p):
-        rhs = (((x + rc.a2) * x + rc.a4) * x + rc.a6) % p
-        c = rc.a1 * x + rc.a3  # y^2 + a1 xy + a3 y = y (y + c)
+        rhs = (((x + a2) * x + a4) * x + a6) % p
+        c = a1 * x + a3  # y^2 + a1 xy + a3 y = y (y + c)
         n += [y * (y + c) % p for y in range(p)].count(rhs)
     return n
 
@@ -202,12 +209,6 @@ def _count_enumeration(rc: ReducedCurve) -> int:
 # -- short-model arithmetic in Jacobian coordinates (x = X/Z^2, y = Y/Z^3) --
 
 _J_INF = (1, 1, 0)
-
-
-def _short_model(rc: ReducedCurve) -> tuple[int, int]:
-    """(A, B) of _short_coefficients reduced mod p, p >= 5."""
-    A, B = _short_coefficients(rc.a1, rc.a2, rc.a3, rc.a4, rc.a6)
-    return A % rc.p, B % rc.p
 
 
 def _jdbl(p: int, a: int, pt):
@@ -302,6 +303,32 @@ def _walk_points(p: int, a: int, b: int):
             yield x * t % p, t * t % p, a * t % p * t % p
 
 
+def _mixed_chain(p: int, a: int, pt, x2: int, y2: int, steps: int):
+    """pt + i*(x2, y2), i = 0..steps, and H_i with Z_{i+1} = Z_i * H_i, so one
+    inversion normalizes them all; each step is _jadd_mixed written out.
+    H_i = 0 where step i went through O or doubled: the product breaks there."""
+    pts = [pt]
+    hs = []
+    X1, Y1, Z1 = pt
+    for _ in range(steps):
+        ZZ = Z1 * Z1 % p
+        H = (x2 * ZZ - X1) % p
+        if Z1 and H:
+            r = (y2 * ZZ % p * Z1 - Y1) % p
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X1 * HH % p
+            X1 = (r * r - HHH - 2 * V) % p
+            Y1 = (r * (V - X1) - Y1 * HHH) % p
+            Z1 = Z1 * H % p
+        else:
+            X1, Y1, Z1 = _jadd_mixed(p, a, (X1, Y1, Z1), x2, y2)
+            H = 0
+        pts.append((X1, Y1, Z1))
+        hs.append(H)
+    return pts, hs
+
+
 def _multiples_by_order(
     p: int, a: int, x1: int, y1: int, first: int, hi: int, M: int
 ) -> list[int]:
@@ -346,28 +373,13 @@ def _point_multiples_in_window(
     zi2 = zi * zi % p
     qx, qy = Q[0] * zi2 % p, Q[1] * zi2 % p * zi % p
 
-    # Baby steps jQ, j = 1..m, as Z_{j+1} = Z_j * H_j, so one inversion
-    # and one product per step normalize them all. An x repeat below m
-    # means ord Q <= m.
-    X, Y, Z = _jdbl(p, a, (qx, qy, 1))
-    if not Z:
+    # Baby steps jQ, j = 1..m: 2Q, then a chain of additions of Q. A zero
+    # factor, 2Q = O or an x repeat of Q below m, means ord Q <= m.
+    baby, hs = _mixed_chain(p, a, _jdbl(p, a, (qx, qy, 1)), qx, qy, m - 2)
+    hs.insert(0, baby[0][2])
+    if not all(hs):
         return _multiples_by_order(*small)
-    baby = [(qx, qy, 1), (X, Y, Z)]
-    hs = [0, Z]
-    for _ in range(m - 2):
-        ZZ = Z * Z % p
-        H = (qx * ZZ - X) % p
-        if not H:
-            return _multiples_by_order(*small)
-        r = (qy * ZZ % p * Z - Y) % p
-        HH = H * H % p
-        HHH = H * HH % p
-        V = X * HH % p
-        X = (r * r - HHH - 2 * V) % p
-        Y = (r * (V - X) - Y * HHH) % p
-        Z = Z * H % p
-        baby.append((X, Y, Z))
-        hs.append(H)
+    baby.insert(0, (qx, qy, 1))
     sX, sY, sZ = _jadd_mixed(p, a, _jdbl(p, a, baby[-1]), qx, qy)  # (2m + 1) * Q
     if not sZ:  # ord Q divides 2m + 1
         return _multiples_by_order(*small)
@@ -377,15 +389,15 @@ def _point_multiples_in_window(
     sx, sy = sX * zi2 % p, sY * zi2 % p * zi % p
     inv = inv * sZ % p
     table = {}
-    for j in range(m, 0, -1):
+    for j in range(m, 0, -1):  # hs[j - 2] = Z(jQ) / Z((j - 1)Q); unused at j = 1
         X = baby[j - 1][0]
         table[X * inv % p * inv % p] = j
-        inv = inv * hs[j - 1] % p
+        inv = inv * hs[j - 2] % p
     if len(table) < m:  # ord Q <= 2m
         return _multiples_by_order(*small)
 
-    # Giants from the short anchor, with the same product chain; a step
-    # through O or a doubling (H = 0) restarts it at one more inversion.
+    # Giants from the short anchor, through the same chain; a step through O
+    # or a doubling (H = 0) restarts the product at one more inversion.
     t = (first - n0) // M
     c0 = -t % s
     if c0 > m:
@@ -393,24 +405,8 @@ def _point_multiples_in_window(
     pt = _jmul(p, a, (t + c0) // s, sx, sy)
     if n0:
         pt = _jadd_mixed(p, a, pt, x1, y1)
-    giants = [pt]
-    hs = []
-    for _ in range((K - 2 - m - c0) // s + 1):  # until c0 + i*s + m >= K - 1
-        X1, Y1, Z1 = pt
-        ZZ = Z1 * Z1 % p
-        H = (sx * ZZ - X1) % p
-        if Z1 and H:
-            r = (sy * ZZ % p * Z1 - Y1) % p
-            HH = H * H % p
-            HHH = H * HH % p
-            V = X1 * HH % p
-            X3 = (r * r - HHH - 2 * V) % p
-            pt = (X3, (r * (V - X3) - Y1 * HHH) % p, Z1 * H % p)
-        else:
-            pt = _jadd_mixed(p, a, pt, sx, sy)
-            H = 0
-        giants.append(pt)
-        hs.append(H)
+    steps = (K - 2 - m - c0) // s + 1  # until c0 + i*s + m >= K - 1
+    giants, hs = _mixed_chain(p, a, pt, sx, sy, steps)
 
     found = []
     inv = 0

@@ -449,15 +449,15 @@ def test_census_partition_failure_exits_one(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "name, fake, message",
     [
-        ("count_points", lambda rc: 4 * rc.p + 1, "trace -6 at p=2"),
+        ("_count_enumeration", lambda p, *model: 4 * p + 1, "trace -6 at p=2"),
         ("_group_order_short", lambda p, a, b: 4 * p + 1, "trace -15 at p=5"),
     ],
-    ids=["count_points", "_group_order_short"],
+    ids=["_count_enumeration", "_group_order_short"],
 )
 def test_hasse_violation_exits_one(tmp_path, capsys, monkeypatch, name, fake, message):
     # A point count past the Hasse window makes curves.trace_records raise
-    # ArithmeticError: count_points serves p = 2 and 3, and the short model
-    # goes straight to _group_order_short at p >= 5.
+    # ArithmeticError: _count_enumeration counts at p = 2 and 3, and
+    # _group_order_short at p >= 5.
     monkeypatch.setattr(eclab.curves, name, fake)
     code, stdout, stderr = run(
         capsys, "census", "--x", "300", "--threads", "1", "--out", str(tmp_path)
@@ -469,7 +469,7 @@ def test_hasse_violation_exits_one(tmp_path, capsys, monkeypatch, name, fake, me
 
 
 def test_hasse_violation_in_a_worker_exits_one(tmp_path, capsys, monkeypatch):
-    # The pool's worker raises; the parent re-raises it and exits 1.
+    # A forked worker raises; the parent re-raises it and exits 1.
     monkeypatch.setattr(eclab.curves, "_group_order_short", lambda p, a, b: 4 * p + 1)
     code, stdout, stderr = run(
         capsys, "census", "--x", "300", "--threads", "2", "--out", str(tmp_path)

@@ -19,7 +19,7 @@ from eclab.curves import (
     _group_order_bsgs,
     _jmul,
     _point_multiples_in_window,
-    _short_model,
+    _short_coefficients,
     _two_torsion_class,
     builtin_curves,
     count_points,
@@ -59,6 +59,11 @@ def least_nonresidue(p: int) -> int:
         if pow(d, (p - 1) // 2, p) == p - 1:
             return d
     raise AssertionError(f"no nonresidue modulo {p}")
+
+
+def short_model(rc: ReducedCurve) -> tuple[int, int]:
+    """(A, B) of the short model y^2 = x^3 + Ax + B of rc, reduced mod p."""
+    return tuple(c % rc.p for c in _short_coefficients(*rc[1:6]))
 
 
 def test_discriminant_examples():
@@ -130,13 +135,13 @@ def test_bsgs_matches_naive_below_and_above_cutoff():
     for p in sample:
         rc = reduce_mod(curve, p)
         if rc.good:
-            assert _group_order_bsgs(p, *_short_model(rc)) == naive_count(rc), p
+            assert _group_order_bsgs(p, *short_model(rc)) == naive_count(rc), p
 
 
 def _check_two_torsion_class(rc: ReducedCurve, n: int) -> tuple[int, int]:
     """n = n0 (mod M); below 300 also the root count behind (n0, M)."""
     p = rc.p
-    a, b = _short_model(rc)
+    a, b = short_model(rc)
     n0, M = _two_torsion_class(p, a, b)
     assert n % M == n0, (rc, n0, M)
     if p < 300:
@@ -204,7 +209,7 @@ def test_character_sum_fallback_is_taken(monkeypatch, label, p):
     windows = _spy(monkeypatch, "_point_multiples_in_window")
     fallback = _spy(monkeypatch, "_order_character_sum")
     # 32a reduces to j = 1728, which count_points counts in closed form
-    n = _group_order_bsgs(p, *_short_model(rc)) if label == "32a" else count_points(rc)
+    n = _group_order_bsgs(p, *short_model(rc)) if label == "32a" else count_points(rc)
     assert len(walks) == 2 and all(drawn[-1] is None for _, drawn in walks)
     assert len(windows) == sum(len(drawn) - 1 for _, drawn in walks)
     assert fallback == [n]
@@ -216,7 +221,7 @@ def test_twist_draw_decides_37a_at_241(monkeypatch):
     draw, the first point of the twist, leaves one."""
     p = 241
     rc = reduce_mod(get_curve("37a"), p)
-    a, b = _short_model(rc)
+    a, b = short_model(rc)
     walks = _spy_walks(monkeypatch)
     windows = _spy(monkeypatch, "_point_multiples_in_window")
     fallback = _spy(monkeypatch, "_order_character_sum")
@@ -254,7 +259,7 @@ def test_walks_on_e_and_twist_decide_x3_plus_x2_minus_2x_in_four_draws(monkeypat
     for p in primes_up_to(29999):
         rc = reduce_mod(curve, p)
         if p >= 29 and rc.good:
-            a, b = _short_model(rc)
+            a, b = short_model(rc)
             assert a and b, p  # j is neither 0 nor 1728 here, so BSGS counts
             windows.clear()
             n = _group_order_bsgs(p, a, b)
@@ -270,13 +275,13 @@ def test_window_without_the_order_raises(monkeypatch):
     calls = []
     monkeypatch.setattr(curves, "_point_multiples_in_window", lambda *args: calls.append(args) or [])
     with pytest.raises(ArithmeticError, match="no group order"):
-        _group_order_bsgs(241, *_short_model(rc))
+        _group_order_bsgs(241, *short_model(rc))
     assert len(calls) == 1
 
 
 def test_residues_that_disagree_across_draws_raise(monkeypatch):
     p = 241
-    a, b = _short_model(reduce_mod(get_curve("37a"), p))
+    a, b = short_model(reduce_mod(get_curve("37a"), p))
     n0, M = _two_torsion_class(p, a, b)
     half = isqrt(4 * p)
     r = p + 1 - half + (n0 - p - 1 + half) % M  # the least N = n0 (mod M) in the window
@@ -322,7 +327,7 @@ def test_closed_form_matches_bsgs_by_decade(d):
     for p in _decade_sample(d):
         for curve in (WeierstrassCurve(0, 0, 0, 0, 2), WeierstrassCurve(0, 0, 0, -1, 0)):
             rc = reduce_mod(curve, p)
-            assert count_points(rc) == _group_order_bsgs(p, *_short_model(rc)), (curve.a4, p)
+            assert count_points(rc) == _group_order_bsgs(p, *short_model(rc)), (curve.a4, p)
 
 
 def test_census_of_x3_plus_2_makes_no_order_search(monkeypatch):
@@ -367,7 +372,7 @@ def test_point_multiples_in_window_is_exact():
     N = n0 (mod M) against a brute-force scan of the window."""
     seen = set()
     for label, p in (("37a", 5), ("37a", 31), ("37a", 83), ("11a", 61), ("32a", 97), ("389a", 131)):
-        a, b = _short_model(reduce_mod(get_curve(label), p))
+        a, b = short_model(reduce_mod(get_curve(label), p))
         half = isqrt(4 * p)
         lo, hi = p + 1 - half, p + 1 + half
         for x in range(p):
@@ -427,14 +432,14 @@ def test_count_points_matches_enumeration_on_random_long_models(coeffs, p):
         assume(False)
     rc = reduce_mod(curve, p)
     assume(rc.good)
-    assert count_points(rc) == _count_enumeration(rc)
+    assert count_points(rc) == _count_enumeration(*rc[:6])
 
 
 def test_short_model_preserves_group_order():
     curve = get_curve("37a")
     for p in (5, 7, 11, 101, 997):
         rc = reduce_mod(curve, p)
-        a, b = _short_model(rc)
+        a, b = short_model(rc)
         short = ReducedCurve(p, 0, 0, 0, a, b, True)
         assert naive_count(short) == naive_count(rc), p
 
@@ -445,10 +450,26 @@ def test_quadratic_twist_orders_sum_to_2p_plus_2():
         rc = reduce_mod(curve, p)
         if not rc.good:
             continue
-        a, b = _short_model(rc)
+        a, b = short_model(rc)
         d = least_nonresidue(p)
         twist = ReducedCurve(p, 0, 0, 0, a * d * d % p, b * d**3 % p, True)
         assert naive_count(rc) + naive_count(twist) == 2 * p + 2, p
+
+
+def test_count_points_rejects_a_trace_outside_the_hasse_bound(monkeypatch):
+    curve = get_curve("37a")
+    for name, p in (("_count_enumeration", 2), ("_group_order_short", 5)):
+        monkeypatch.setattr(curves, name, lambda *args: 4 * p + 1)
+        with pytest.raises(ArithmeticError, match=f"at p={p} violates the Hasse bound"):
+            count_points(reduce_mod(curve, p))
+
+
+def test_trace_records_counts_2_and_3_without_reducing(monkeypatch):
+    reduced = _spy(monkeypatch, "reduce_mod")
+    tested = _spy(monkeypatch, "is_prime")
+    ps, ns, bad = trace_records(get_curve("37a"), [2, 3])
+    assert reduced == [] and tested == []
+    assert (list(ps), list(ns), bad) == ([2, 3], [5, 7], [])
 
 
 @pytest.mark.parametrize("label", LABELS)
