@@ -4,13 +4,13 @@ Each good prime contributes one row to two array('q') columns p and n,
 plus the verdict byte of n from `pseudoprimes.classify`: bit 0 set when n
 passes the Fermat test for the chosen base, bit 1 when n is prime, bit 2
 when n is a Fermat pseudoprime (passes, composite, n != 1). a_p = p + 1 - n
-is computed only where it is printed. A row costs 17 bytes from the
-counting loop to the writers; no per-prime object is built. With more than
-one worker, each worker is a forked process that counts its share of the
-tasks and streams the columns back as raw bytes down its own pipe; a full
-pipe holds it back until the parent reads. The multiplicity count holds only
-the orders still inside the Hasse window, so memory grows with the columns
-alone.
+is computed only where it is printed. The primes arrive one array('q')
+segment at a time. A row costs 17 bytes from the counting loop to the
+writers; no per-prime object is built. With more than one worker, each
+worker is a forked process that counts its share of the tasks and streams
+the columns back as raw bytes down its own pipe; a full pipe holds it back
+until the parent reads. The multiplicity count holds only the orders still
+inside the Hasse window, so memory grows with the columns alone.
 Counting is deterministic, so worker count never changes the output.
 """
 from __future__ import annotations
@@ -220,11 +220,19 @@ def _forked_chunks(tasks, workers: int):
         raise ChildProcessError(f"census workers exited with codes {codes}")
 
 
+def _most_tasks(x: int) -> int:
+    """An upper bound on the number of runs _prime_runs(x) yields, x > 1:
+    pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, 1962), in runs of
+    TASK_PRIMES."""
+    return math.ceil(1.25506 * x / math.log(x) / TASK_PRIMES)
+
+
 def _prime_runs(x: int):
     """The primes p <= x in runs of TASK_PRIMES, the last run shorter.
 
     Runs cross segment boundaries, so every task but the last holds the same
-    number of primes and the workers' fixed shares stay balanced.
+    number of primes and the workers' fixed shares stay balanced. The runs
+    are tuples cut from the segments' array('q') primes.
     """
     primes = chain.from_iterable(seg.primes for seg in iter_prime_segments(x))
     while run := tuple(islice(primes, TASK_PRIMES)):
@@ -244,13 +252,14 @@ def run_census(
     workers of threads > 1 (default: see worker_count) stay balanced even
     when x spans only a segment or two. The workers are forked processes
     (see _forked_chunks); each sieves the segments itself, so nothing is
-    sent to it, and a full pipe holds it back. Without os.fork the census
-    runs in this process. Task results are concatenated in order, so output
-    is independent of threads.
+    sent to it, and a full pipe holds it back. No more workers are forked
+    than _most_tasks(x) allows, so a census of one task, or one without
+    os.fork, runs in this process. Task results are concatenated in order,
+    so output is independent of threads.
     """
     if x < 2:
         raise ValueError(f"census needs x >= 2, got {x}")
-    workers = worker_count(threads)
+    workers = min(worker_count(threads), _most_tasks(x))
     tasks = ((curve, primes, base, strict) for primes in _prime_runs(x))
     ps, ns = array("q"), array("q")
     verdicts = bytearray()
@@ -456,8 +465,8 @@ def _prime_window_counts(values: list[int]) -> dict[int, int]:
     """Number of primes within isqrt(81 n) + 1 of each n in `values`.
 
     Each count is pi(n + w) - pi(n - w - 1), read at the sorted window ends
-    while the primes stream past one segment at a time, so no list of
-    primes is held.
+    while the primes stream past one array('q') segment at a time, so no
+    list of primes is held.
     """
     if not values:
         return {}

@@ -121,7 +121,7 @@ def smallest_prime_factors(limit: int) -> array:
     """
     if not 0 <= limit < SPF_LIMIT:
         raise ValueError(f"SPF table limit must be in [0, 2^32), got {limit}")
-    spf = array("H", bytes(2 * (limit + 1)))
+    spf = array("H", [0]) * (limit + 1)  # no temporary as large as the table
     # Largest prime first, so each composite ends up holding its smallest.
     for p in reversed(primes_up_to(math.isqrt(limit))):
         start = p * p

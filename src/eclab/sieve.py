@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize
 from .gl2 import class_density, prime_class_counts
-from .primes import primes_up_to
+from .primes import iter_prime_segments
 from .pseudoprimes import FERMAT_BIT, fermat_holds
 
 if TYPE_CHECKING:
@@ -47,15 +47,17 @@ def density_product(y: float, z: float) -> float:
 
     Each factor (G - C_0) / G, with C_0 = |C_0(p)| and G = |GL2(F_p)|, is one
     integer true division, so it is correctly rounded, the same double as the
-    exact rational would give.
+    exact rational would give. The primes stream one array('q') segment at a
+    time, in increasing order.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
     v = 1.0
-    for p in primes_up_to(max(0, math.ceil(z) - 1)):
-        if p >= y:
-            c0, _, _, g = prime_class_counts(p)
-            v *= (g - c0) / g
+    for seg in iter_prime_segments(max(0, math.ceil(z) - 1)):
+        for p in seg.primes:
+            if p >= y:
+                c0, _, _, g = prime_class_counts(p)
+                v *= (g - c0) / g
     return v
 
 
@@ -63,12 +65,14 @@ def euler_constant_product(cap: int) -> float:
     """Partial product over p <= cap of C = prod_p (1 - w_1(p)/p) / (1 - 1/p).
 
     Each factor (G - C_0) p / (G (p - 1)) is one correctly rounded integer
-    true division.
+    true division. The primes stream one array('q') segment at a time, in
+    increasing order.
     """
     v = 1.0
-    for p in primes_up_to(cap):
-        c0, _, _, g = prime_class_counts(p)
-        v *= (g - c0) * p / (g * (p - 1))
+    for seg in iter_prime_segments(cap):
+        for p in seg.primes:
+            c0, _, _, g = prime_class_counts(p)
+            v *= (g - c0) * p / (g * (p - 1))
     return v
 
 

@@ -158,9 +158,10 @@ def test_worker_count(monkeypatch):
 
 
 def test_census_deterministic_across_workers(monkeypatch):
-    # x = 500 is one task in one default segment. x = 3000 in segments of
-    # 256 is 12 segments: tasks of 10 primes cross their boundaries, and
-    # tasks of 64 primes make 7 tasks that the workers share unevenly.
+    # x = 500 is one task in one default segment, so every worker count
+    # runs it in process. x = 3000 in segments of 256 is 12 segments: tasks
+    # of 10 primes cross their boundaries, and tasks of 64 primes make 7
+    # tasks that the workers share unevenly.
     for x, segment_len, task_primes in (
         (500, DEFAULT_SEGMENT, TASK_PRIMES),
         (3000, 256, 10),
@@ -670,6 +671,33 @@ def test_closing_the_consumer_early_reaps_the_workers(tmp_path, monkeypatch):
         assert_no_children()
 
 
+@pytest.mark.parametrize(
+    "x, task_primes, forks",
+    [
+        # pi(10^4) = 1229 primes are one task: no worker is forked
+        (10_000, TASK_PRIMES, 0),
+        # 430 primes in tasks of 90 are 5 tasks; the bound 470.3 / 90 allows
+        # 6 workers, one of which gets no task
+        (3000, 90, 6),
+    ],
+)
+@pytest.mark.usefixtures("deadline")
+def test_census_forks_no_more_workers_than_tasks(monkeypatch, x, task_primes, forks):
+    monkeypatch.setattr(census, "TASK_PRIMES", task_primes)
+    want = run_census(CURVE, x, threads=1)
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pids.append(real_fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert run_census(CURVE, x, threads=8) == want
+    assert len(pids) == forks
+    assert_no_children()
+
+
 def test_census_runs_in_process_without_fork(monkeypatch):
     monkeypatch.setattr(census, "TASK_PRIMES", 100)
     want = run_census(CURVE, 3000, threads=1)
@@ -691,7 +719,7 @@ def test_census_memory_per_good_prime(tmp_path, monkeypatch):
     # The traced run reads each n(p) from a first, untraced run: the same
     # rows, without the short-lived integers of point counting, which would
     # make tracemalloc's hook some 60 times slower than the census itself.
-    # Columns hold 17 bytes a row; the segment's prime tuple is a constant.
+    # Columns hold 17 bytes a row; the segment's prime array is a constant.
     # Measured at x = 5e4 under pytest on Python 3.11: 81.4 bytes a row with
     # the p and n columns (82.8 with this test alone), 89.9 with an a_p
     # column as well, 214 with one TraceRecord per row and a Counter over

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import eclab.census
 import eclab.cli
 import eclab.curves
 from eclab.census import RECORDS_HEADER
@@ -49,7 +50,9 @@ def test_census_json_format(tmp_path, capsys):
     assert "wrote" in stderr and "wrote" not in stdout
 
 
-def test_census_deterministic_output_bytes(tmp_path, capsys):
+def test_census_deterministic_output_bytes(tmp_path, capsys, monkeypatch):
+    # tasks of 10 primes make 5 tasks below 200, so two workers are forked
+    monkeypatch.setattr(eclab.census, "TASK_PRIMES", 10)
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(capsys, "census", "--x", "200", "--out", str(a), "--threads", "1")[0] == 0
     assert run(capsys, "census", "--x", "200", "--out", str(b), "--threads", "2")[0] == 0
@@ -469,7 +472,9 @@ def test_hasse_violation_exits_one(tmp_path, capsys, monkeypatch, name, fake, me
 
 
 def test_hasse_violation_in_a_worker_exits_one(tmp_path, capsys, monkeypatch):
-    # A forked worker raises; the parent re-raises it and exits 1.
+    # A forked worker raises; the parent re-raises it and exits 1. Tasks of
+    # 10 primes make 7 tasks below 300, so the two workers are forked.
+    monkeypatch.setattr(eclab.census, "TASK_PRIMES", 10)
     monkeypatch.setattr(eclab.curves, "_group_order_short", lambda p, a, b: 4 * p + 1)
     code, stdout, stderr = run(
         capsys, "census", "--x", "300", "--threads", "2", "--out", str(tmp_path)

@@ -1,4 +1,7 @@
 """Sieve correctness: primes_up_to and the segments against an independent boolean sieve."""
+import tracemalloc
+from array import array
+
 import pytest
 
 from eclab.primes import (
@@ -71,6 +74,21 @@ def test_large_segmented_run_matches_one_shot():
     for seg in iter_prime_segments(10**6, 2**15):
         collected.extend(seg.primes)
     assert collected == boolean_sieve(10**6)
+
+
+def test_segment_scan_holds_one_segment_of_8_byte_primes():
+    # A segment's primes are an array('q') filled from the sieve mask, so a
+    # full scan holds two segments (the one in hand and the next) at 8 bytes
+    # a prime, plus the mask. Measured at 135 KiB; a tuple of int objects
+    # built from a list took 529 KiB.
+    tracemalloc.start()
+    try:
+        for seg in iter_prime_segments(10**6):
+            assert type(seg.primes) is array and seg.primes.typecode == "q"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_segment_content_is_pure_function_of_bounds():

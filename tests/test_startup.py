@@ -22,6 +22,8 @@ from eclab.census import run_census
 from eclab.curves import get_curve
 run_census(get_curve("37a"), 500, threads=1)
 seen.append(loaded())
+import eclab.census
+eclab.census.TASK_PRIMES = 10  # 10 tasks below 500, so two workers are forked
 run_census(get_curve("37a"), 500, threads=2)
 seen.append(loaded())
 print(json.dumps(seen))
