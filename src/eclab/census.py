@@ -294,7 +294,7 @@ class PomeranceDecomposition(NamedTuple):
     divisor supported on primes of b and gcd(n'', b) = 1: s4_smooth_heavy
     has n' > x^(2/3), s4_rest is the complement (the two partition s4),
     and s4_window_hit counts s4_rest records where n'' has a divisor d
-    with x^(1/18) < d <= x^(1/17) and gcd(d, b) = 1.
+    with x^(1/18) < d <= x^(1/17); such a d is prime to b, as n'' is.
     """
 
     x: int
@@ -354,38 +354,39 @@ def smooth_split(n: int, base: int) -> tuple[int, int]:
 
 
 def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
+    """Pomerance's classes s1-s4 of the rows whose order is a pseudoprime.
+
+    Each distinct order is classified and split once, in increasing n, and
+    counts once per row that holds it: counts, overlap and the s4 bins are
+    rows; members are the distinct orders of each class.
+    """
     x, base = result.x, result.base
     L = pomerance_scale(x)
-    label_cache: dict[int, frozenset] = {}
+    rows = Counter(n for n, v in zip(result.n, result.verdicts) if v & PSEUDO_BIT)
     counts = Counter({name: 0 for name in _CLASS_NAMES + ("unclassified",)})
     overlap = [[0] * 4 for _ in range(4)]
-    members: dict[str, set] = {name: set() for name in counts}
+    members: dict[str, list] = {name: [] for name in counts}
     s4_heavy = s4_rest = s4_window = 0
+    heavy = x ** (2 / 3)
     win_lo, win_hi = x ** (1 / 18), x ** (1 / 17)
-    for n, v in zip(result.n, result.verdicts):
-        if not v & PSEUDO_BIT:
-            continue
-        labels = label_cache.get(n)
-        if labels is None:
-            labels = label_cache[n] = _classify_pseudoprime(n, x, base, L)
+    for n in sorted(rows):
+        k = rows[n]
+        labels = _classify_pseudoprime(n, x, base, L)
         for name in labels:
-            counts[name] += 1
-            members[name].add(n)
+            counts[name] += k
+            members[name].append(n)
         idx = [i for i, name in enumerate(_CLASS_NAMES) if name in labels]
         for i in idx:
             for j in idx:
-                overlap[i][j] += 1
+                overlap[i][j] += k
         if "s4" in labels:
             smooth, coprime = smooth_split(n, base)
-            if smooth > x ** (2 / 3):
-                s4_heavy += 1
+            if smooth > heavy:
+                s4_heavy += k
             else:
-                s4_rest += 1
-                if any(
-                    win_lo < d <= win_hi and math.gcd(d, base) == 1
-                    for d in divisors(coprime)
-                ):
-                    s4_window += 1
+                s4_rest += k
+                if any(win_lo < d <= win_hi for d in divisors(coprime)):
+                    s4_window += k
     return PomeranceDecomposition(
         x=x,
         base=base,
@@ -395,7 +396,7 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
         s4_smooth_heavy=s4_heavy,
         s4_rest=s4_rest,
         s4_window_hit=s4_window,
-        members={k: tuple(sorted(v)) for k, v in members.items()},
+        members={name: tuple(ns) for name, ns in members.items()},
     )
 
 
@@ -508,34 +509,29 @@ def multiplicity_stats(ps, ns) -> MultiplicityStats:
 
     The rows come in increasing p, and every later row has
     n(p') >= p' + 1 - 2 sqrt(p') > p - 1 - 2 isqrt(p) by Hasse. So the count
-    of an order at or below that floor is final: it leaves the open counts
-    for the table, the second moment and the pair count, and the open
-    counts span only the Hasse window. Raises ValueError on a row whose n
-    lies at or below a floor already passed.
+    of an order at or below that floor is final: it leaves the open counts,
+    for the table when it is at least 2, and the open counts span only the
+    Hasse window. The pair count is the sum of M(M - 1) over the table, and
+    the second moment is the row count plus the pair count, since the M of
+    all orders sum to the rows. Raises ValueError on a row whose n lies at
+    or below a floor already passed.
     """
     # Imported here, so the commands that never count points do not load it.
     from heapq import heappop, heappush
 
     table = {}
-    second = pairs = 0
     open_counts: dict[int, int] = {}
     heap: list[int] = []  # the keys of open_counts
-
-    def close(n):
-        nonlocal second, pairs
-        m = open_counts.pop(n)
-        second += m * m
-        pairs += m * (m - 1)
-        if m >= 2:
-            table[n] = m
-
     floor = -2  # the least p - 1 - 2 isqrt(p) over p >= 0
     for p, n in zip(ps, ns):
         f = p - 1 - 2 * isqrt(p)
         if f > floor:
             floor = f
             while heap and heap[0] <= floor:
-                close(heappop(heap))
+                done = heappop(heap)
+                m = open_counts.pop(done)
+                if m >= 2:
+                    table[done] = m
         if n <= floor:
             raise ValueError(f"order {n} at p={p} lies below the Hasse floor {floor}")
         m = open_counts.get(n)
@@ -545,7 +541,9 @@ def multiplicity_stats(ps, ns) -> MultiplicityStats:
         else:
             open_counts[n] = m + 1
     for n in sorted(heap):
-        close(n)
+        if open_counts[n] >= 2:
+            table[n] = open_counts[n]
+    pairs = sum(m * (m - 1) for m in table.values())
     window = _prime_window_counts(list(table))
     failures = tuple(
         (n, m, 1 + window[n]) for n, m in table.items() if m > 1 + window[n]
@@ -555,7 +553,7 @@ def multiplicity_stats(ps, ns) -> MultiplicityStats:
     )
     return MultiplicityStats(
         table=table,
-        second_moment=second,
+        second_moment=len(ns) + pairs,
         collision_pairs=pairs,
         ceiling_ok=not failures,
         ceiling_failures=failures,

@@ -86,11 +86,17 @@ def iter_prime_segments(
         yield PrimeSegment(lo, hi, _segment_primes(lo, hi, odd_base))
 
 
-def segment_bounds(x: int, segment_len: int = DEFAULT_SEGMENT) -> list[tuple[int, int]]:
-    """The (lo, hi) tiling iter_prime_segments uses, without sieving anything."""
+def segment_bounds(
+    x: int, segment_len: int = DEFAULT_SEGMENT
+) -> Iterator[tuple[int, int]]:
+    """The (lo, hi) tiling iter_prime_segments uses, without sieving anything.
+
+    x and segment_len are checked at the call; the bounds come one at a
+    time, so no list of x / segment_len tuples is built.
+    """
     check_cutoff(x)
     if segment_len < 2:
         raise ValueError("segment_len must be at least 2")
-    return [
+    return (
         (lo, min(lo + segment_len, x + 1)) for lo in range(0, x + 1, segment_len)
-    ]
+    )

@@ -121,11 +121,18 @@ def smallest_prime_factors(limit: int) -> array:
     """
     if not 0 <= limit < SPF_LIMIT:
         raise ValueError(f"SPF table limit must be in [0, 2^32), got {limit}")
-    spf = array("H", [0]) * (limit + 1)  # no temporary as large as the table
-    # Largest prime first, so each composite ends up holding its smallest.
-    for p in reversed(primes_up_to(math.isqrt(limit))):
+    # 2 at every even entry but 0 and 2, 0 at every odd one
+    spf = array("H", [2, 0]) * (limit // 2 + 1)
+    del spf[limit + 1 :]
+    spf[0] = 0
+    if limit >= 2:
+        spf[2] = 0
+    # Odd multiples of the odd primes, largest prime first, so each odd
+    # composite ends up holding its smallest; the largest slice (p = 3)
+    # is a sixth of the table.
+    for p in reversed(primes_up_to(math.isqrt(limit))[1:]):
         start = p * p
-        spf[start::p] = array("H", [p]) * len(range(start, limit + 1, p))
+        spf[start :: 2 * p] = array("H", [p]) * len(range(start, limit + 1, 2 * p))
     return spf
 
 

@@ -324,6 +324,89 @@ def test_decomposition_l_clamp_flag():
     assert decomp.counts["s1"] == 1 and decomp.counts["s4"] == 0  # 6 <= 10/1
 
 
+def decomposition_oracle(ns, verdicts, x, base):
+    """Counts, overlap, s4 bins and members, one row at a time."""
+    L = pomerance_scale(x)
+    names = ("s1", "s2", "s3", "s4")
+    counts = Counter({name: 0 for name in names + ("unclassified",)})
+    overlap = [[0] * 4 for _ in names]
+    members = {name: set() for name in counts}
+    heavy = rest = window = 0
+    for n, v in zip(ns, verdicts):
+        if not v & PSEUDO_BIT:
+            continue
+        labels = labels_oracle(n, x, base, L) or {"unclassified"}
+        for name in labels:
+            counts[name] += 1
+            members[name].add(n)
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                overlap[i][j] += a in labels and b in labels
+        if "s4" in labels:
+            coprime = n
+            while math.gcd(coprime, base) > 1:
+                coprime //= math.gcd(coprime, base)
+            if n // coprime > x ** (2 / 3):
+                heavy += 1
+            else:
+                rest += 1
+                window += any(
+                    x ** (1 / 18) < d <= x ** (1 / 17) and math.gcd(d, base) == 1
+                    for d in range(1, coprime + 1)
+                    if coprime % d == 0
+                )
+    return (
+        dict(counts),
+        tuple(tuple(row) for row in overlap),
+        (heavy, rest, window),
+        {name: tuple(sorted(m)) for name, m in members.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "x, ns, s4_bins",
+    [
+        # 1729 and 19951 are s4; 12288 = 2^12 * 3 is s4 and smooth-heavy
+        (10**5, [1729, 341, 19951, 341, 561, 1729, 12288, 1729, 19951, 12288], (2, 5, 0)),
+        # 3^11 is s4 with a window hit at x = 3^17, 2^18 is smooth-heavy
+        (3**17, [3**11, 2**18, 341, 3**11, 2**18, 561, 2**18, 341, 1729, 1729], (3, 2, 2)),
+    ],
+)
+def test_decomposition_with_repeated_orders_matches_per_row_oracle(x, ns, s4_bins):
+    # a prime order and a plain composite between the pseudoprime rows
+    ns = ns[:3] + [7, 9] + ns[3:] + [7]
+    verdicts = bytes(
+        FERMAT_BIT | PRIME_BIT if n == 7 else 0 if n == 9 else FERMAT_BIT | PSEUDO_BIT
+        for n in ns
+    )
+    records = [TraceRecord(2 * i + 3, 0, n) for i, n in enumerate(ns)]
+    decomp = decompose_pseudoprimes(result_of(x, 2, False, records, verdicts))
+    counts, overlap, bins, members = decomposition_oracle(ns, verdicts, x, 2)
+    assert decomp.counts == counts
+    assert decomp.overlap == overlap
+    assert (decomp.s4_smooth_heavy, decomp.s4_rest, decomp.s4_window_hit) == bins == s4_bins
+    assert decomp.members == members
+    assert list(decomp.counts) == list(decomp.members) == list(counts)
+
+
+def test_decomposition_classifies_and_splits_each_distinct_order_once(monkeypatch):
+    classified, split = [], []
+    real_classify, real_split = census._classify_pseudoprime, census.smooth_split
+    monkeypatch.setattr(
+        census,
+        "_classify_pseudoprime",
+        lambda n, *a: classified.append(n) or real_classify(n, *a),
+    )
+    monkeypatch.setattr(
+        census, "smooth_split", lambda n, b: split.append(n) or real_split(n, b)
+    )
+    ns = [19951, 341, 1729, 12288, 341, 1729, 19951, 1729, 12288, 561]
+    decomp = decompose_pseudoprimes(pseudo_result(ns, 10**5))
+    assert classified == [341, 561, 1729, 12288, 19951]
+    assert split == list(decomp.members["s4"]) == [1729, 12288, 19951]
+    assert decomp.counts["s4"] == 7 and decomp.s4_smooth_heavy == 2
+
+
 def test_smooth_split():
     assert smooth_split(341, 2) == (1, 341)
     assert smooth_split(344, 2) == (8, 43)

@@ -100,11 +100,25 @@ def test_segment_content_is_pure_function_of_bounds():
 def test_segment_bounds_tile_without_gaps():
     for x in (0, 5, 100, 65537):
         for L in (10, DEFAULT_SEGMENT):
-            bounds = segment_bounds(x, L)
+            bounds = list(segment_bounds(x, L))
             assert bounds[0][0] == 0
             assert bounds[-1][1] == x + 1
             for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
                 assert hi == lo
+
+
+def test_first_segment_at_1e11_builds_no_bounds_list():
+    # A list of the 1,525,879 bounds at 10^11 traced 193 MiB before the
+    # first prime; lazily the first segment costs the base primes to
+    # sqrt(x) and one segment, measured at 1.26 MiB.
+    tracemalloc.start()
+    try:
+        first = next(iter_prime_segments(10**11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (first.lo, first.hi, first.primes[-1]) == (0, DEFAULT_SEGMENT, 65521)
+    assert peak < 4 * 1024 * 1024
 
 
 def test_cutoff_guard():

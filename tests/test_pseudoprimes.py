@@ -330,17 +330,28 @@ def test_smallest_prime_factors_table():
             smallest_prime_factors(bad)
 
 
-def test_smallest_prime_factors_peak_is_near_the_table():
-    # The table plus its largest slice (p = 2, a quarter of the table) is
-    # about 1.5 tables; a zeroed bytes temporary as large as the table, freed
-    # only once the array is built, made it 2.06.
+def spf_peak_in_tables(limit):
+    """tracemalloc peak of smallest_prime_factors(limit), in tables."""
     tracemalloc.start()
     try:
-        spf = smallest_prime_factors(10**6)
+        spf = smallest_prime_factors(limit)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * spf.itemsize * len(spf)
+    return peak / (spf.itemsize * len(spf))
+
+
+def test_smallest_prime_factors_peak_is_near_the_table():
+    # A zeroed bytes temporary as large as the table, freed only once the
+    # array is built, made the peak 2.06 tables.
+    assert spf_peak_in_tables(10**6) < 1.6
+
+
+def test_smallest_prime_factors_builds_no_even_slice():
+    # The even entries come from the 2-periodic start, so the largest slice
+    # is the odd multiples of 3, a sixth of the table: 1.17 tables at 10^6.
+    # Filling the p = 2 slice from a temporary half the table made it 1.50.
+    assert spf_peak_in_tables(10**6) < 1.25
 
 
 @pytest.mark.parametrize("b", [2, 3, 5, 6, 10])
