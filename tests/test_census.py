@@ -583,6 +583,25 @@ def test_multiplicity_rejects_an_order_below_a_passed_floor():
     assert multiplicity_stats([100, 101, 103], [101, 102, 84]).table == {}
 
 
+def test_hasse_window_lies_inside_the_multiplicity_window():
+    """Every order n that Hasse allows at p lies within isqrt(81 n) + 1 of p.
+
+    So the distinct primes p with n(p) = n lie in n ± (isqrt(81 n) + 1), and
+    the multiplicity of n never exceeds the prime count of that window. For
+    p >= 3: Hasse gives |p - n| <= 2 sqrt(p) + 1 and n >= (sqrt(p) - 1)^2, so
+    sqrt(n) >= sqrt(p) - 1 and isqrt(81 n) >= 9 sqrt(n) - 1 >= 9 sqrt(p) - 10,
+    which is at least 2 sqrt(p) once 7 sqrt(p) >= 10. The loop covers p = 2,
+    and checks both ends n = p + 1 ∓ isqrt(4 p) of each integer window.
+    """
+    violations = [
+        (p, n)
+        for p in range(2, 10**5 + 1)
+        for n in (p + 1 - math.isqrt(4 * p), p + 1 + math.isqrt(4 * p))
+        if n >= 1 and abs(p - n) > math.isqrt(81 * n) + 1
+    ]
+    assert violations == []
+
+
 def test_prime_window_counts_match_bisection():
     values = [1, 2, 5, 9, 100, 101, 4000, 20_011, 65_536, 70_000]
     primes = primes_up_to(80_000)
