@@ -19,7 +19,6 @@ import json
 import math
 import os
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from itertools import chain, islice
 from math import isqrt
@@ -416,8 +415,9 @@ def congruence_stats(
     """Histogram of the group orders ns mod `modulus`, with predicted counts
     where valid.
 
-    The density prediction applies only at a prime modulus coprime to the
-    curve's exceptional level `serre_bound`. A bound of None means unknown
+    The density prediction applies only at a prime modulus coprime to
+    `serre_bound`, a level the caller supplies: every prime dividing it is
+    treated as exceptional for the curve. A bound of None means unknown
     and 0 means every prime is exceptional (gcd(m, 0) = m > 1), so both
     disable the prediction. Expected counts normalize by the number of
     orders, the natural finite-x stand-in for the logarithmic integral.
@@ -447,48 +447,15 @@ def congruence_stats(
 class MultiplicityStats(NamedTuple):
     """How often each group order value repeats across primes.
 
-    table holds only orders hit at least twice, in increasing n. Every
-    repeated value is checked against a prime-counting ceiling: all p with
-    n(p) = n satisfy |p - n| <= isqrt(81 n) + 1, so the multiplicity is at
-    most the number of primes in that window (plus one for slack at the
-    endpoints).
+    table holds only orders hit at least twice, in increasing n. No prime
+    count bounds a multiplicity here: every row passed the Hasse check, so
+    the distinct p with n(p) = n already lie within isqrt(81 n) + 1 of n.
     """
 
     table: dict  # n -> multiplicity, only entries >= 2
     second_moment: int  # sum of multiplicity^2 over all orders seen
     collision_pairs: int  # sum of M(M-1): ordered pairs of primes sharing n
-    ceiling_ok: bool
-    ceiling_failures: tuple
     fitted_delta: float | None  # least-squares slope of log M vs log n, M >= 2
-
-
-def _prime_window_counts(values: list[int]) -> dict[int, int]:
-    """Number of primes within isqrt(81 n) + 1 of each n in `values`.
-
-    Each count is pi(n + w) - pi(n - w - 1), read at the sorted window ends
-    while the primes stream past one array('q') segment at a time, so no
-    list of primes is held.
-    """
-    if not values:
-        return {}
-    below = {}  # window end -> number of primes below it
-    for n in values:
-        w = isqrt(81 * n) + 1
-        below[n - w] = below[n + w + 1] = 0
-    ends = sorted(below)
-    i = seen = 0
-    for seg in iter_prime_segments(ends[-1] - 1):
-        while i < len(ends) and ends[i] < seg.hi:
-            below[ends[i]] = seen + bisect_left(seg.primes, ends[i])
-            i += 1
-        seen += len(seg.primes)
-    for end in ends[i:]:
-        below[end] = seen
-    out = {}
-    for n in values:
-        w = isqrt(81 * n) + 1
-        out[n] = below[n + w + 1] - below[n - w]
-    return out
 
 
 def _fit_slope(points: list[tuple[float, float]]) -> float | None:
@@ -544,10 +511,6 @@ def multiplicity_stats(ps, ns) -> MultiplicityStats:
         if open_counts[n] >= 2:
             table[n] = open_counts[n]
     pairs = sum(m * (m - 1) for m in table.values())
-    window = _prime_window_counts(list(table))
-    failures = tuple(
-        (n, m, 1 + window[n]) for n, m in table.items() if m > 1 + window[n]
-    )
     delta = _fit_slope(
         [(math.log(n), math.log(m)) for n, m in table.items() if n > 1]
     )
@@ -555,8 +518,6 @@ def multiplicity_stats(ps, ns) -> MultiplicityStats:
         table=table,
         second_moment=len(ns) + pairs,
         collision_pairs=pairs,
-        ceiling_ok=not failures,
-        ceiling_failures=failures,
         fitted_delta=delta,
     )
 
@@ -606,8 +567,6 @@ def summarize(
     q = having(FERMAT_BIT)
     unit = result.n.count(1)
     mult = multiplicity_stats(result.p, result.n)
-    x = result.x
-    cm_reference = x / math.log(x) ** 0.9
     meta = {
         "strict_fermat": result.strict,
         "good_count": len(result.n),
@@ -617,20 +576,17 @@ def summarize(
         "pseu_to_twin_ratio": pseu / twin if twin else None,  # observed, never asserted
         "unclassified": decomposition.counts["unclassified"],
         "L_clamped": decomposition.L == 1.0,
-        "multiplicity_ceiling_ok": mult.ceiling_ok,
         "max_multiplicity": max(
             mult.table.values(), default=1 if result.n else 0
         ),
         "fitted_delta": mult.fitted_delta,
         "collision_pairs": mult.collision_pairs,
         "cm_curve": result.curve.cm,
-        "cm_reference_scale": cm_reference,
-        "cm_signal": mult.second_moment > cm_reference,
     }
     if extra_meta:
         meta.update(extra_meta)
     return CensusSummary(
-        x=x,
+        x=result.x,
         curve_label=result.curve.label,
         base_b=result.base,
         twin=twin,

@@ -75,10 +75,6 @@ class _CurveFields(NamedTuple):
     a6: int
     label: str = ""
     cm: bool = False
-    # Configuration, not computed: moduli sharing a factor with this bound are
-    # excluded from full-image density predictions. 0 means "exclude all",
-    # None means "not configured" (also excludes all).
-    serre_bound: int | None = None
     disc: int = 0  # computed by WeierstrassCurve, never passed in
 
 
@@ -87,13 +83,13 @@ class WeierstrassCurve(_CurveFields):
 
     __slots__ = ()
 
-    def __new__(cls, a1, a2, a3, a4, a6, label="", cm=False, serre_bound=None):
+    def __new__(cls, a1, a2, a3, a4, a6, label="", cm=False):
         d = discriminant(a1, a2, a3, a4, a6)
         if d == 0:
             raise SingularCurveError(
                 f"coefficients {(a1, a2, a3, a4, a6)} give discriminant 0"
             )
-        return super().__new__(cls, a1, a2, a3, a4, a6, label, cm, serre_bound, d)
+        return super().__new__(cls, a1, a2, a3, a4, a6, label, cm, d)
 
     def __getnewargs__(self):
         # pickle and copy rebuild through __new__, which recomputes disc
@@ -566,16 +562,16 @@ def _group_order_short(p: int, a: int, b: int) -> int:
 # -- curve sources --------------------------------------------------------
 
 _BUILTIN_LINES = (
-    "37a:0,0,1,-1,0,cm=0,serre=74",
-    "389a:0,1,1,-2,0,cm=0,serre=778",
-    "5077a:0,0,1,-7,6,cm=0,serre=10154",
-    "11a:0,-1,1,-10,-20,cm=0,serre=110",
-    "32a:0,0,0,-1,0,cm=1,serre=0",
+    "37a:0,0,1,-1,0,cm=0",
+    "389a:0,1,1,-2,0,cm=0",
+    "5077a:0,0,1,-7,6,cm=0",
+    "11a:0,-1,1,-10,-20,cm=0",
+    "32a:0,0,0,-1,0,cm=1",
 )
 
 
 def parse_curve_line(line: str) -> WeierstrassCurve:
-    """Parse 'label:a1,a2,a3,a4,a6[,cm=0|1][,serre=<int>]'."""
+    """Parse 'label:a1,a2,a3,a4,a6[,cm=0|1]'."""
     head, sep, tail = line.partition(":")
     label = head.strip()
     if not sep or not label:
@@ -588,21 +584,15 @@ def parse_curve_line(line: str) -> WeierstrassCurve:
     except ValueError:
         raise ValueError(f"non-integer coefficient in curve line: {line!r}") from None
     cm = False
-    serre: int | None = None
     for extra in parts[5:]:
-        key, eq, val = extra.partition("=")
+        key, _, val = extra.partition("=")
         key = key.strip()
         val = val.strip()
         if key == "cm" and val in ("0", "1"):
             cm = val == "1"
-        elif key == "serre" and eq:
-            try:
-                serre = int(val)
-            except ValueError:
-                raise ValueError(f"bad serre bound in curve line: {line!r}") from None
         else:
             raise ValueError(f"unknown curve option {extra!r} in line: {line!r}")
-    return WeierstrassCurve(*coeffs, label=label, cm=cm, serre_bound=serre)
+    return WeierstrassCurve(*coeffs, label=label, cm=cm)
 
 
 def builtin_curves() -> dict[str, WeierstrassCurve]:

@@ -6,7 +6,6 @@ import signal
 import time
 import tracemalloc
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial
 
@@ -450,21 +449,10 @@ def test_multiplicity_synthetic():
     assert stats.second_moment == 14
     assert stats.collision_pairs == 8
     assert stats.second_moment == stats.collision_pairs + len(records)
-    assert stats.ceiling_ok and stats.ceiling_failures == ()
     slope = (math.log(3) - math.log(2)) / (math.log(5) - math.log(7))
     assert stats.fitted_delta == pytest.approx(slope)
-
-
-def test_multiplicity_ceiling_failure():
-    # 50 primes sharing order 100 would exceed the prime count of the
-    # window [100 - 91, 100 + 91]; the ceiling must catch that
-    records = [TraceRecord(i, 0, 100) for i in range(50)]
-    p, n = columns(records)
-    stats = multiplicity_stats(p, n)
-    assert not stats.ceiling_ok
-    assert stats.ceiling_failures == ((100, 50, 40),)
     empty = multiplicity_stats([], [])
-    assert empty.table == {} and empty.ceiling_ok and empty.fitted_delta is None
+    assert empty.table == {} and empty.fitted_delta is None
 
 
 def test_summary_serialization(tmp_path):
@@ -495,6 +483,22 @@ def test_summary_serialization(tmp_path):
         "meta",
     ]
     assert d["curve_label"] == "37a" and d["meta"]["threads"] == 1
+    # a meta key appears or vanishes only with this list
+    assert list(d["meta"]) == [
+        "strict_fermat",
+        "good_count",
+        "fermat_prime_count",
+        "partition_ok",
+        "twin_le_Q",
+        "pseu_to_twin_ratio",
+        "unclassified",
+        "L_clamped",
+        "max_multiplicity",
+        "fitted_delta",
+        "collision_pairs",
+        "cm_curve",
+        "threads",
+    ]
     json_path = tmp_path / "summary.json"
     write_summary_json(summary, str(json_path))
     text = json_path.read_text()
@@ -517,12 +521,22 @@ def test_summary_cm_fields():
     summary = summarize(result)
     meta = summary.meta
     assert meta["cm_curve"] is False
-    assert meta["cm_reference_scale"] == pytest.approx(1000 / math.log(1000) ** 0.9)
-    assert meta["cm_signal"] == (summary.second_moment > meta["cm_reference_scale"])
     assert meta["max_multiplicity"] == max(summary.multiplicity.values(), default=1)
-    assert meta["collision_pairs"] == summary.second_moment - len(result.records)
+    assert meta["collision_pairs"] == summary.second_moment - len(result.n)
     if summary.twin:
         assert meta["pseu_to_twin_ratio"] == summary.pseu / summary.twin
+
+
+def test_summarize_scans_no_primes(monkeypatch):
+    # the census has sieved already; the summary reads its columns only
+    result = run_census(CURVE, 20_000, threads=1)
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("summarize scanned primes")
+
+    monkeypatch.setattr(census, "iter_prime_segments", no_sieve)
+    summary = summarize(result)
+    assert summary.meta["good_count"] == len(result.n)
 
 
 # -- windowed multiplicity count -------------------------------------------------
@@ -600,17 +614,6 @@ def test_hasse_window_lies_inside_the_multiplicity_window():
         if n >= 1 and abs(p - n) > math.isqrt(81 * n) + 1
     ]
     assert violations == []
-
-
-def test_prime_window_counts_match_bisection():
-    values = [1, 2, 5, 9, 100, 101, 4000, 20_011, 65_536, 70_000]
-    primes = primes_up_to(80_000)
-    want = {}
-    for n in values:
-        w = math.isqrt(81 * n) + 1
-        want[n] = bisect_right(primes, n + w) - bisect_left(primes, n - w)
-    assert census._prime_window_counts(values) == want
-    assert census._prime_window_counts([]) == {}
 
 
 # -- forked workers ------------------------------------------------------------------

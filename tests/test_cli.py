@@ -64,7 +64,7 @@ def test_census_deterministic_output_bytes(tmp_path, capsys, monkeypatch):
 # bytes must be a deliberate, documented fix.
 GOLDEN_POMERANCE_37A_2E4 = {
     "records.csv": "65e19d618c01ce5471886e3393d93bafeb2092570820f833941a7e80bececc75",
-    "summary.json": "19e64fc87e688f68ba1736ee4cc480d4c272f2a92fb77e1c0a58b1c344831eaf",
+    "summary.json": "2fd5ef4e7961a91190e57f3a3fb04cfa72d3f0f13518689f495844c0502a0bf2",
 }
 
 
@@ -294,7 +294,7 @@ GOLDEN_STDOUT_AND_ARTIFACTS = {
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("pomerance", "--x", "20000", "--threads", "1", "--format", "json"): (
-        "19e64fc87e688f68ba1736ee4cc480d4c272f2a92fb77e1c0a58b1c344831eaf",
+        "2fd5ef4e7961a91190e57f3a3fb04cfa72d3f0f13518689f495844c0502a0bf2",
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("census", "--curve", "389a", "--base", "3", "--strict-fermat", "--x", "5000",
@@ -302,7 +302,7 @@ GOLDEN_STDOUT_AND_ARTIFACTS = {
         "87f106f04be7e6b0d417b1808dc53d0f0c40de0cdfdab6c8791d406ab4a29424",
         {
             "records.csv": "b1f70ba7a0a10099df59a290204ad07d8f0837838d53b40f68b321ec9d7c973b",
-            "summary.json": "f785806f74c4bd10c576975c0b6dd878b04cf00c1e7c639b8d270d14db5eaa61",
+            "summary.json": "fd7eeb5acb8e4f073d659dd5ad56c196eb0fde94086e66d4b54a1f89f3daf59c",
         },
     ),
     ("verify-classes", "--cap", "20"): (

@@ -83,7 +83,7 @@ def test_curve_pickles_and_keeps_disc_consistent():
     curve = get_curve("37a")
     assert repr(curve) == (
         "WeierstrassCurve(a1=0, a2=0, a3=1, a4=-1, a6=0, label='37a', cm=False, "
-        "serre_bound=74, disc=37)"
+        "disc=37)"
     )
     copy = pickle.loads(pickle.dumps(curve))
     assert type(copy) is WeierstrassCurve
@@ -522,24 +522,17 @@ def test_builtin_registry():
     curves = builtin_curves()
     assert set(curves) == set(LABELS)
     assert curves["37a"].coefficients() == (0, 0, 1, -1, 0)
-    assert curves["37a"].serre_bound == 74
-    assert curves["389a"].serre_bound == 778
-    assert curves["5077a"].serre_bound == 10154
-    assert curves["11a"].serre_bound == 110
-    assert curves["32a"].serre_bound == 0
     assert curves["32a"].cm
     assert not curves["37a"].cm
 
 
 def test_parse_curve_line():
-    c = parse_curve_line("x1:1,2,3,4,5,cm=1,serre=99")
+    c = parse_curve_line("x1:1,2,3,4,5,cm=1")
     assert c.label == "x1"
     assert c.coefficients() == (1, 2, 3, 4, 5)
     assert c.cm
-    assert c.serre_bound == 99
     plain = parse_curve_line("p:0,0,1,-1,0")
     assert not plain.cm
-    assert plain.serre_bound is None
 
 
 @pytest.mark.parametrize(
@@ -549,6 +542,7 @@ def test_parse_curve_line():
         "lbl:1,2,3",
         "lbl:1,2,3,4,x",
         "lbl:1,2,3,4,5,bogus=1",
+        "lbl:1,2,3,4,5,serre=74",  # no longer an option
         ":1,2,3,4,5",
     ],
 )
@@ -559,7 +553,7 @@ def test_parse_curve_line_rejects_malformed(line):
 
 def test_load_curve_file(tmp_path):
     path = tmp_path / "curves.txt"
-    path.write_text("# comment\n\nw:0,0,1,-1,0,serre=74\nv:0,0,0,1,1\n")
+    path.write_text("# comment\n\nw:0,0,1,-1,0,cm=0\nv:0,0,0,1,1\n")
     curves = load_curve_file(str(path))
     assert set(curves) == {"w", "v"}
     dup = tmp_path / "dup.txt"
