@@ -447,9 +447,10 @@ def congruence_stats(
 class MultiplicityStats(NamedTuple):
     """How often each group order value repeats across primes.
 
-    table holds only orders hit at least twice, in increasing n. No prime
-    count bounds a multiplicity here: every row passed the Hasse check, so
-    the distinct p with n(p) = n already lie within isqrt(81 n) + 1 of n.
+    table holds only orders hit at least twice, in increasing n. Every row
+    passed the Hasse check, so the distinct p with n(p) = n lie within
+    isqrt(81 n) + 1 of n, and no multiplicity exceeds the prime count of
+    that window.
     """
 
     table: dict  # n -> multiplicity, only entries >= 2

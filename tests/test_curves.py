@@ -542,7 +542,7 @@ def test_parse_curve_line():
         "lbl:1,2,3",
         "lbl:1,2,3,4,x",
         "lbl:1,2,3,4,5,bogus=1",
-        "lbl:1,2,3,4,5,serre=74",  # no longer an option
+        "lbl:1,2,3,4,5,serre=74",
         ":1,2,3,4,5",
     ],
 )
