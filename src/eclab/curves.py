@@ -1,4 +1,5 @@
-"""Elliptic curves over Q, reductions mod p, and group-order computation.
+"""Elliptic curves over Q with CM detected from j, reductions mod p, and
+group-order computation.
 
 Point counting takes one of three paths per prime: full enumeration for p in
 {2, 3} (no short Weierstrass model exists there), a closed form when the
@@ -78,27 +79,38 @@ class _CurveFields(NamedTuple):
     disc: int = 0  # computed by WeierstrassCurve, never passed in
 
 
+# j of the CM curves over Q: one per imaginary quadratic order of class number
+# one (Silverman, Advanced Topics in the Arithmetic of Elliptic Curves, App. A).
+_CM_J = frozenset({0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
+                   16581375, -884736000, -147197952000, -262537412640768000})
+
+
 class WeierstrassCurve(_CurveFields):
-    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6. disc
+    and cm are computed; a cm passed in is a claim, and a false one raises."""
 
     __slots__ = ()
 
-    def __new__(cls, a1, a2, a3, a4, a6, label="", cm=False):
+    def __new__(cls, a1, a2, a3, a4, a6, label="", cm=None):
         d = discriminant(a1, a2, a3, a4, a6)
         if d == 0:
             raise SingularCurveError(
                 f"coefficients {(a1, a2, a3, a4, a6)} give discriminant 0"
             )
-        return super().__new__(cls, a1, a2, a3, a4, a6, label, cm, d)
+        c4_cubed = (_short_coefficients(a1, a2, a3, a4, a6)[0] // -27) ** 3
+        has_cm = c4_cubed % d == 0 and c4_cubed // d in _CM_J
+        if cm is not None and cm != has_cm:
+            raise ValueError(f"curve {label!r} claims cm={int(cm)}, but j gives cm={int(has_cm)}")
+        return super().__new__(cls, a1, a2, a3, a4, a6, label, has_cm, d)
 
     def __getnewargs__(self):
-        # pickle and copy rebuild through __new__, which recomputes disc
-        return self[:-1]
+        # pickle and copy rebuild through __new__, which recomputes cm and disc
+        return self[:6]
 
     @classmethod
     def _make(cls, fields):
-        """Build through __new__, so _replace recomputes disc."""
-        return cls(*tuple(fields)[:-1])
+        """Build through __new__, so _replace recomputes cm and disc."""
+        return cls(*tuple(fields)[:6])
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -562,16 +574,17 @@ def _group_order_short(p: int, a: int, b: int) -> int:
 # -- curve sources --------------------------------------------------------
 
 _BUILTIN_LINES = (
-    "37a:0,0,1,-1,0,cm=0",
-    "389a:0,1,1,-2,0,cm=0",
-    "5077a:0,0,1,-7,6,cm=0",
-    "11a:0,-1,1,-10,-20,cm=0",
-    "32a:0,0,0,-1,0,cm=1",
+    "37a:0,0,1,-1,0",
+    "389a:0,1,1,-2,0",
+    "5077a:0,0,1,-7,6",
+    "11a:0,-1,1,-10,-20",
+    "32a:0,0,0,-1,0",
 )
 
 
 def parse_curve_line(line: str) -> WeierstrassCurve:
-    """Parse 'label:a1,a2,a3,a4,a6[,cm=0|1]'."""
+    """Parse 'label:a1,a2,a3,a4,a6[,cm=0|1]'; cm= is a claim checked against j.
+    An unknown or repeated option is a malformed line (ValueError)."""
     head, sep, tail = line.partition(":")
     label = head.strip()
     if not sep or not label:
@@ -583,15 +596,15 @@ def parse_curve_line(line: str) -> WeierstrassCurve:
         coeffs = [int(t) for t in parts[:5]]
     except ValueError:
         raise ValueError(f"non-integer coefficient in curve line: {line!r}") from None
-    cm = False
+    cm = None
     for extra in parts[5:]:
         key, _, val = extra.partition("=")
         key = key.strip()
         val = val.strip()
-        if key == "cm" and val in ("0", "1"):
+        if key == "cm" and val in ("0", "1") and cm is None:
             cm = val == "1"
         else:
-            raise ValueError(f"unknown curve option {extra!r} in line: {line!r}")
+            raise ValueError(f"unknown or repeated curve option {extra!r} in line: {line!r}")
     return WeierstrassCurve(*coeffs, label=label, cm=cm)
 
 

@@ -619,6 +619,29 @@ def test_malformed_curve_file_exits_two(tmp_path, capsys):
     assert "error" in stderr
 
 
+def test_curve_file_cm_is_computed_and_a_false_claim_exits_two(tmp_path, capsys):
+    curves = tmp_path / "curves.txt"
+    curves.write_text("k2:0,0,0,0,2\nbad37:0,0,1,-1,0,cm=1\n")
+    k2 = tmp_path / "k2.txt"
+    k2.write_text("k2:0,0,0,0,2\n")
+    out = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "census", "--x", "100", "--curve", "k2", "--curve-file", str(k2),
+        "--out", str(out), "--threads", "1",
+    )
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["meta"]["cm_curve"] is True
+    out = tmp_path / "claim"
+    code, stdout, stderr = run(
+        capsys, "census", "--x", "100", "--curve", "k2", "--curve-file", str(curves),
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stderr.startswith("error: ") and "bad37" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_eclab_threads_exits_two(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("ECLAB_THREADS", value)

@@ -526,10 +526,67 @@ def test_builtin_registry():
     assert not curves["37a"].cm
 
 
+# (j, D): the CM curves over Q, j = c4^3 / disc, each with CM by the order of
+# discriminant D. a_p = 0 at every good p inert in Q(sqrt(D)) proves the pair.
+CM_J_AND_DISCRIMINANT = [
+    (0, -3), (1728, -4), (-3375, -7), (8000, -8), (-32768, -11), (54000, -12),
+    (287496, -16), (-884736, -19), (-12288000, -27), (16581375, -28),
+    (-884736000, -43), (-147197952000, -67), (-262537412640768000, -163),
+]
+
+
+def curve_with_j(j: int) -> WeierstrassCurve:
+    if j in (0, 1728):
+        return WeierstrassCurve(0, 0, 0, int(j == 1728), int(j == 0))
+    k = 1728 - j
+    return WeierstrassCurve(0, 0, 0, 3 * j * k, 2 * j * k * k)
+
+
+def inert_traces(curve: WeierstrassCurve, D: int):
+    """a_p at every good odd p < 2000 with p inert in Q(sqrt(D))."""
+    for p in primes_up_to(2000)[1:]:
+        if D % p and pow(D, (p - 1) // 2, p) == p - 1 and curve.disc % p:
+            yield p, p + 1 - count_points(reduce_mod(curve, p))
+
+
+@pytest.mark.parametrize("j, D", CM_J_AND_DISCRIMINANT)
+def test_cm_table_entry_has_zero_trace_at_inert_primes(j, D):
+    curve = curve_with_j(j)
+    c4 = _short_coefficients(*curve.coefficients())[0] // -27
+    assert c4**3 == j * curve.disc
+    assert curve.cm
+    traces = dict(inert_traces(curve, D))
+    assert len(traces) > 100
+    assert set(traces.values()) == {0}, (j, D)
+
+
+@pytest.mark.parametrize("label", ["37a", "389a", "5077a", "11a"])
+def test_non_cm_curve_has_nonzero_trace_at_an_inert_prime_of_every_field(label):
+    curve = get_curve(label)
+    assert not curve.cm
+    for _, D in CM_J_AND_DISCRIMINANT:
+        assert any(a for _, a in inert_traces(curve, D)), (label, D)
+
+
+def test_cm_is_computed_and_a_claim_is_checked():
+    assert curves._CM_J == {j for j, _ in CM_J_AND_DISCRIMINANT}
+    assert WeierstrassCurve(0, 0, 0, 0, 2).cm
+    assert WeierstrassCurve(0, 0, 0, 0, 2, cm=True).cm
+    with pytest.raises(ValueError) as exc:
+        WeierstrassCurve(0, 0, 0, 0, 2, cm=False)
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError):
+        parse_curve_line("x:0,0,1,-1,0,cm=1")
+    moved = get_curve("37a")._replace(a3=0, a4=0, a6=2)
+    assert moved.cm and moved.disc == discriminant(0, 0, 0, 0, 2)
+    assert pickle.loads(pickle.dumps(moved)).cm
+    assert not moved._replace(a4=-1, a6=1).cm
+
+
 def test_parse_curve_line():
-    c = parse_curve_line("x1:1,2,3,4,5,cm=1")
+    c = parse_curve_line("x1:0,0,1,0,-7,cm=1")  # 27a, j = 0
     assert c.label == "x1"
-    assert c.coefficients() == (1, 2, 3, 4, 5)
+    assert c.coefficients() == (0, 0, 1, 0, -7)
     assert c.cm
     plain = parse_curve_line("p:0,0,1,-1,0")
     assert not plain.cm
@@ -543,6 +600,7 @@ def test_parse_curve_line():
         "lbl:1,2,3,4,x",
         "lbl:1,2,3,4,5,bogus=1",
         "lbl:1,2,3,4,5,serre=74",
+        "lbl:0,0,1,-1,0,cm=0,cm=0",
         ":1,2,3,4,5",
     ],
 )
