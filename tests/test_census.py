@@ -10,7 +10,7 @@ from collections import Counter
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eclab import census, curves, primes
@@ -323,6 +323,29 @@ def test_decomposition_l_clamp_flag():
     assert decomp.counts["s1"] == 1 and decomp.counts["s4"] == 0  # 6 <= 10/1
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    ns=st.lists(st.integers(2, 10**6), min_size=1, max_size=8),
+    x=st.one_of(st.integers(2, 40), st.integers(2, 10**12)),
+    base=st.integers(2, 40),
+)
+@example(ns=[2**19, 2**10, 12], x=10**5, base=2)  # b-smooth: no prime ell is prime to b
+@example(ns=[2**4, 1000, 15], x=15, base=2)  # x <= e^e clamps L to 1
+@example(ns=[6, 3**12], x=16, base=3)  # just past the clamp, L = 1.05
+def test_decomposition_covers_every_order(ns, x, base):
+    """The classes s1-s4 cover every order n: let F = {ell | n : ell ∤ b}.
+
+    If n <= x/L, n is in s1. Otherwise, if every ell in F is <= L^3, n is in
+    s4; this includes F = ∅, when n is b-smooth. Otherwise some ell in F
+    exceeds L^3: if ord_ell(b) <= L, n is in s2, and if ord_ell(b) > L, n
+    is in s3. Each pair of complementary tests is one float expression
+    read both ways (n <= x/L against n > x/L, ell > L^3 against ell <= L^3,
+    ord <= L against ord > L), so the complements hold exactly, also at
+    the clamp L = 1.
+    """
+    decomp = decompose_pseudoprimes(pseudo_result(ns, x, base))
+    covered = set().union(*(decomp.members[name] for name in ("s1", "s2", "s3", "s4")))
+    assert covered == set(ns)
 def decomposition_oracle(ns, verdicts, x, base):
     """Counts, overlap, s4 bins and members, one row at a time."""
     L = pomerance_scale(x)
