@@ -25,7 +25,7 @@ from math import isqrt
 from struct import Struct
 from typing import NamedTuple
 
-from .arith import divisors, factorize, is_prime, prime_factors
+from .arith import factorize, is_prime, prime_factors
 from .curves import TraceRecord, WeierstrassCurve, trace_records
 from .gl2 import class_density
 from .primes import iter_prime_segments
@@ -171,6 +171,10 @@ def _forked_chunks(tasks, workers: int):
     worker exits non-zero. Every worker is reaped before this returns or
     raises, and also when the consumer stops early.
     """
+    # bound before any fork: a stream finalized at interpreter shutdown can
+    # no longer import
+    from signal import SIGKILL
+
     children = []  # (pid, reader) for each worker
     finished = False
     try:
@@ -210,8 +214,6 @@ def _forked_chunks(tasks, workers: int):
         for _, reader in children:
             reader.close()
         if not finished:
-            from signal import SIGKILL
-
             for pid, _ in children:
                 os.kill(pid, SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
@@ -266,12 +268,16 @@ def run_census(
     if workers > 1 and hasattr(os, "fork"):
         chunks = _forked_chunks(tasks, workers)
     else:
-        chunks = map(_census_chunk, tasks)
-    for chunk_p, chunk_n, bits, skip in chunks:
-        ps.extend(chunk_p)
-        ns.extend(chunk_n)
-        verdicts.extend(bits)
-        skipped.extend(skip)
+        chunks = (_census_chunk(task) for task in tasks)
+    try:
+        for chunk_p, chunk_n, bits, skip in chunks:
+            ps.extend(chunk_p)
+            ns.extend(chunk_n)
+            verdicts.extend(bits)
+            skipped.extend(skip)
+    finally:
+        # reaps the workers now, also when this loop raises
+        chunks.close()
     return CensusResult(curve, x, base, strict, ps, ns, verdicts, skipped)
 
 
@@ -286,8 +292,9 @@ class PomeranceDecomposition(NamedTuple):
     s1: n <= x/L. s2: some prime ell | n, ell not dividing b, with
     ell > L^3 and ord_ell(b) <= L. s3: some ell | n, ell not dividing b,
     with ord_ell(b) > L. s4: n > x/L and every such ell is <= L^3. The
-    classes overlap; anything missed lands in `unclassified`, which should
-    stay empty. overlap[i][j] counts records in class i and class j.
+    classes overlap and cover every order: an n > x/L outside s4 has an
+    ell > L^3, which puts it in s2 or s3. overlap[i][j] counts records in
+    class i and class j, so its diagonal holds the class sizes.
 
     The s4 records split further by n = n' * n'' with n' the largest
     divisor supported on primes of b and gcd(n'', b) = 1: s4_smooth_heavy
@@ -299,7 +306,7 @@ class PomeranceDecomposition(NamedTuple):
     x: int
     base: int
     L: float
-    counts: dict  # class name -> record count, including "unclassified"
+    counts: dict  # class name -> record count
     overlap: tuple  # 4x4 tuple-of-tuples over s1..s4, diagonal = class size
     s4_smooth_heavy: int
     s4_rest: int
@@ -334,8 +341,6 @@ def _classify_pseudoprime(n: int, x: int, base: int, L: float) -> frozenset:
         labels.add("s3")
     if n > x / L and all(ell <= cube for ell in free_primes):
         labels.add("s4")
-    if not labels:
-        labels.add("unclassified")
     return frozenset(labels)
 
 
@@ -362,20 +367,18 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
     x, base = result.x, result.base
     L = pomerance_scale(x)
     rows = Counter(n for n, v in zip(result.n, result.verdicts) if v & PSEUDO_BIT)
-    counts = Counter({name: 0 for name in _CLASS_NAMES + ("unclassified",)})
     overlap = [[0] * 4 for _ in range(4)]
-    members: dict[str, list] = {name: [] for name in counts}
+    members: dict[str, list] = {name: [] for name in _CLASS_NAMES}
     s4_heavy = s4_rest = s4_window = 0
     heavy = x ** (2 / 3)
-    win_lo, win_hi = x ** (1 / 18), x ** (1 / 17)
+    # the integers d with x^(1/18) < d <= x^(1/17)
+    window = range(math.floor(x ** (1 / 18)) + 1, math.floor(x ** (1 / 17)) + 1)
     for n in sorted(rows):
         k = rows[n]
         labels = _classify_pseudoprime(n, x, base, L)
-        for name in labels:
-            counts[name] += k
-            members[name].append(n)
         idx = [i for i, name in enumerate(_CLASS_NAMES) if name in labels]
         for i in idx:
+            members[_CLASS_NAMES[i]].append(n)
             for j in idx:
                 overlap[i][j] += k
         if "s4" in labels:
@@ -384,13 +387,13 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
                 s4_heavy += k
             else:
                 s4_rest += k
-                if any(win_lo < d <= win_hi for d in divisors(coprime)):
+                if any(coprime % d == 0 for d in window):
                     s4_window += k
     return PomeranceDecomposition(
         x=x,
         base=base,
         L=L,
-        counts=dict(counts),
+        counts={name: overlap[i][i] for i, name in enumerate(_CLASS_NAMES)},
         overlap=tuple(tuple(row) for row in overlap),
         s4_smooth_heavy=s4_heavy,
         s4_rest=s4_rest,
@@ -575,7 +578,6 @@ def summarize(
         "partition_ok": q == fermat_primes + pseu + unit,
         "twin_le_Q": twin <= q,  # must hold in the default Fermat mode
         "pseu_to_twin_ratio": pseu / twin if twin else None,  # observed, never asserted
-        "unclassified": decomposition.counts["unclassified"],
         "L_clamped": decomposition.L == 1.0,
         "max_multiplicity": max(
             mult.table.values(), default=1 if result.n else 0

@@ -204,11 +204,6 @@ def _census_invariant_failures(summary) -> list[str]:
         )
     if not summary.meta["strict_fermat"] and not summary.meta["twin_le_Q"]:
         failures.append("ordering failed: twin exceeds Q under the b^n = b test")
-    if summary.s_classes["unclassified"]:
-        failures.append(
-            f"{summary.s_classes['unclassified']} pseudoprime record(s) "
-            "escaped the decomposition"
-        )
     return failures
 
 

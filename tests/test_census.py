@@ -3,6 +3,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from array import array
@@ -268,7 +270,7 @@ def test_decomposition_against_scan_oracle():
             expected[name] += 1
     for name in ("s1", "s2", "s3", "s4"):
         assert decomp.counts[name] == expected[name], name
-    assert decomp.counts["unclassified"] == 0
+    assert list(decomp.counts) == list(decomp.members) == ["s1", "s2", "s3", "s4"]
 
     assert decomp.members["s1"] == (341, 561)
     assert decomp.members["s2"] == ()
@@ -310,7 +312,7 @@ def test_decomposition_smooth_and_window_branches():
     L = pomerance_scale(x)
     assert 3**11 > x / L and 2**18 > x ** (2 / 3)
     decomp = decompose_pseudoprimes(pseudo_result([3**11, 2**18], x))
-    assert decomp.counts["s4"] == 2 and decomp.counts["unclassified"] == 0
+    assert decomp.counts == {"s1": 0, "s2": 0, "s3": 0, "s4": 2}
     assert decomp.s4_smooth_heavy == 1
     assert decomp.s4_rest == 1
     assert decomp.s4_window_hit == 1
@@ -350,14 +352,15 @@ def decomposition_oracle(ns, verdicts, x, base):
     """Counts, overlap, s4 bins and members, one row at a time."""
     L = pomerance_scale(x)
     names = ("s1", "s2", "s3", "s4")
-    counts = Counter({name: 0 for name in names + ("unclassified",)})
+    counts = Counter({name: 0 for name in names})
     overlap = [[0] * 4 for _ in names]
     members = {name: set() for name in counts}
     heavy = rest = window = 0
     for n, v in zip(ns, verdicts):
         if not v & PSEUDO_BIT:
             continue
-        labels = labels_oracle(n, x, base, L) or {"unclassified"}
+        labels = labels_oracle(n, x, base, L)
+        assert labels, n  # the classes cover every order
         for name in labels:
             counts[name] += 1
             members[name].add(n)
@@ -514,7 +517,6 @@ def test_summary_serialization(tmp_path):
         "partition_ok",
         "twin_le_Q",
         "pseu_to_twin_ratio",
-        "unclassified",
         "L_clamped",
         "max_multiplicity",
         "fitted_delta",
@@ -797,6 +799,52 @@ def test_closing_the_consumer_early_reaps_the_workers(tmp_path, monkeypatch):
         next(chunks)
         chunks.close()
         assert_no_children()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_census_that_raises_mid_stream_reaps_the_workers(monkeypatch):
+    # the traceback held in `info` keeps run_census's frame, and with it the
+    # suspended chunk stream, alive: only an explicit close reaps the workers
+    received = []
+    real_receive = census._receive
+
+    def short_second_chunk(reader):
+        chunk = real_receive(reader)
+        received.append(chunk)
+        return chunk[:3] if len(received) == 2 else chunk
+
+    monkeypatch.setattr(census, "TASK_PRIMES", 10)
+    monkeypatch.setattr(census, "_receive", short_second_chunk)
+    with pytest.raises(ValueError) as info:
+        run_census(CURVE, 3000, threads=2)
+    assert info.traceback[-1].name == "run_census"  # the unpacking of the chunk
+    assert_no_children()
+
+
+ABANDONED_STREAM = """
+from eclab import census
+from eclab.curves import get_curve
+
+census.TASK_PRIMES = 10
+tasks = ((get_curve("37a"), run, 2, False) for run in census._prime_runs(3000))
+chunks = census._forked_chunks(tasks, 2)
+next(chunks)
+raise RuntimeError("the consumer failed")
+"""
+
+
+def test_a_stream_left_open_reaps_its_workers_at_exit():
+    # the stream is finalized at interpreter shutdown, when nothing can be
+    # imported any more
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(census.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", ABANDONED_STREAM],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "RuntimeError: the consumer failed"
+    assert "Exception ignored" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -64,7 +64,7 @@ def test_census_deterministic_output_bytes(tmp_path, capsys, monkeypatch):
 # bytes must be a deliberate, documented fix.
 GOLDEN_POMERANCE_37A_2E4 = {
     "records.csv": "65e19d618c01ce5471886e3393d93bafeb2092570820f833941a7e80bececc75",
-    "summary.json": "2fd5ef4e7961a91190e57f3a3fb04cfa72d3f0f13518689f495844c0502a0bf2",
+    "summary.json": "f888635d9a18f701455cb4a0ea8acaab563b506656155408e86adc454efcb53a",
 }
 
 
@@ -290,19 +290,19 @@ def sha256(data) -> str:
 # shared one report path. Cases: argv -> (stdout, {artifact: digest}).
 GOLDEN_STDOUT_AND_ARTIFACTS = {
     ("pomerance", "--x", "20000", "--threads", "1"): (
-        "eea6d1409c52cf32be31c1caeb6a8dd7a6bacd866de5a958e4fc7f9c180087d3",
+        "070fc25658c364c93fd48acd8e5edd81be78106ea9f9e32fe3f727d14306df22",
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("pomerance", "--x", "20000", "--threads", "1", "--format", "json"): (
-        "2fd5ef4e7961a91190e57f3a3fb04cfa72d3f0f13518689f495844c0502a0bf2",
+        "f888635d9a18f701455cb4a0ea8acaab563b506656155408e86adc454efcb53a",
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("census", "--curve", "389a", "--base", "3", "--strict-fermat", "--x", "5000",
      "--threads", "1"): (
-        "87f106f04be7e6b0d417b1808dc53d0f0c40de0cdfdab6c8791d406ab4a29424",
+        "e629eb199d73feeb27eefac4315dad3f05294058c7e54ababc283928558c6664",
         {
             "records.csv": "b1f70ba7a0a10099df59a290204ad07d8f0837838d53b40f68b321ec9d7c973b",
-            "summary.json": "fd7eeb5acb8e4f073d659dd5ad56c196eb0fde94086e66d4b54a1f89f3daf59c",
+            "summary.json": "725733843636929b62d2bfc4b938c426af072bd1589127b13aa538787371459e",
         },
     ),
     ("verify-classes", "--cap", "20"): (
