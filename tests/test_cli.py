@@ -190,6 +190,46 @@ def test_order_stats_output_bytes_are_golden(tmp_path, capsys, base, fmt):
     assert digests == GOLDEN_ORDER_STATS[base, fmt]
 
 
+# sha256 of orders.csv and stdout for order-stats --t 10000 --cap 200000 (the
+# benchmark's sizes and seed bases), recorded before the prime pass read the
+# q = 2 step off a residue table and the flagged levels became lcms of
+# prime-power orders.
+GOLDEN_ORDER_STATS_1E4 = {
+    2: (
+        "c631f90a1cc040d6f82f17df20075b10abf83304e360c8fea346b5914e95db99",
+        "161831abfd743f271ba529bb6294aa0baa44c612ad5242f2da8b7615ecc7c0a8",
+    ),
+    3: (
+        "35bb1a41fa72f9316311ce68395f90f1e994cb876d62e73d6542437f859bbcd1",
+        "1d19ee12f640ea8d5116891af0668b4c6ad5cbd99a5eef5622642526974614b9",
+    ),
+    5: (
+        "9af0de18ff6412fc9e5b318fe279a362c8917cf9afba40fea247df0bacc695b0",
+        "7b7c00e962fac43cfd4e923345b69f0532857431fc2b6bff410585e3936fc6e8",
+    ),
+    6: (
+        "e783854bdd331e935f2839d05967d15d8ee4d918731329328ea895b3d2535ee0",
+        "b7946de05345b008e7d3664a1f2a0e5bbce3989700f4ec9d460f8e295e527b24",
+    ),
+    10: (
+        "5c42a9eee55d42ab2e7c9343a7b2d1d732a958f2aa9dbd21578db382fca9e9b0",
+        "59f9f01f41d5f1a85927fd2f996485def187532b314805f73877b0724e8cf977",
+    ),
+}
+
+
+@pytest.mark.parametrize("base", sorted(GOLDEN_ORDER_STATS_1E4))
+def test_order_stats_at_benchmark_size_is_golden(tmp_path, capsys, base):
+    code, stdout, _ = run(
+        capsys,
+        "order-stats", "--base", str(base), "--t", "10000", "--cap", "200000",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    digests = (sha256((tmp_path / "orders.csv").read_bytes()), sha256(stdout))
+    assert digests == GOLDEN_ORDER_STATS_1E4[base]
+
+
 def test_order_stats_json(tmp_path, capsys):
     code, stdout, _ = run(
         capsys,
