@@ -316,7 +316,6 @@ class PomeranceDecomposition(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "L": self.L,
-            "L_clamped": self.L == 1.0,
             "classes": dict(self.counts),
             "overlap": [list(row) for row in self.overlap],
             "s4_split": {

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
+from itertools import compress, islice
+from operator import not_
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .arith import carmichael_lambda, factorize, is_prime, lambda_from_factors
@@ -151,18 +153,47 @@ def iter_prime_orders(b: int, lo: float, hi: int) -> Iterator[tuple[int, int]]:
     skipped.
 
     One SPF table up to hi finds the primes and factors every ell - 1; an
-    empty range builds none.
+    empty range builds none. The first q = 2 step is Euler's criterion,
+    b^((ell-1)/2) = 1 exactly when (b|ell) = 1, and by quadratic reciprocity
+    (b|ell) depends only on ell mod 4b, so it is read from a table keyed by
+    ell mod 4b that one `pow` at the first prime of each residue fills.
     """
     lo = max(math.ceil(lo), 2)
     if hi < lo:
         return
-    spf = smallest_prime_factors(hi)
-    for ell in range(lo, hi + 1):
-        if spf[ell]:
-            continue
+    yield from _prime_orders(b, lo, hi, smallest_prime_factors(hi))
+
+
+def _prime_orders(b: int, lo: int, hi: int, spf: array) -> Iterator[tuple[int, int]]:
+    """iter_prime_orders over 2 <= lo <= ell <= hi < len(spf), from the table spf."""
+    if lo == 2 and b % 2:
+        yield 2, 1
+    period = 4 * abs(b)
+    # 0 until the residue is met, then 1 + (b|ell): 1 for a non-residue, 2
+    # for a residue; ell <= hi, so hi + 1 items cover every residue met
+    symbols = bytearray(min(period, hi + 1))
+    first = lo | 1
+    for ell in compress(range(first, hi + 1, 2), map(not_, islice(spf, first, None, 2))):
         if b % ell == 0:
             continue
-        yield ell, _order_dividing(b, ell, ell - 1, _factor_with(ell - 1, spf))
+        m = ell - 1
+        n = m // (m & -m)  # the odd part of ell - 1
+        r = ell % period
+        s = symbols[r]
+        if not s:
+            s = symbols[r] = 1 + (pow(b, m >> 1, ell) == 1)
+        if s == 2:
+            m >>= 1
+            while not m & 1 and pow(b, m >> 1, ell) == 1:
+                m >>= 1
+        while n > 1:
+            q = spf[n] or n
+            while m % q == 0 and pow(b, m // q, ell) == 1:
+                m //= q
+            n //= q
+            while n % q == 0:
+                n //= q
+        yield ell, m
 
 
 def _count_orders(orders: Iterable[int]) -> dict[int, int]:
@@ -259,10 +290,40 @@ class OrderLevelReport(NamedTuple):
 
 
 def order_level_report(b: int, t: int) -> OrderLevelReport:
-    levels = _count_orders(_iter_modulus_orders(b, t))
+    """How many 2 <= d <= t coprime to b have each order ord_d(b), flagged
+    against t/sqrt(L(t)).
+
+    By the CRT, ord_d(b) is the lcm of ord_{q^e}(b) over the prime powers
+    q^e exactly dividing d. ord_q(b) comes from the prime pass, and
+    ord_{q^e}(b) for e >= 2 is o or q*o with o = ord_{q^(e-1)}(b), since
+    b^o = 1 + k*q^(e-1) has q-th power 1 (mod q^e). Every ord_d(b) is held
+    in one array, filled in increasing d, with 0 where gcd(b, d) > 1.
+    """
+    levels = _count_orders(filter(None, _modulus_orders(b, t))) if t >= 2 else {}
     threshold = t / math.sqrt(pomerance_scale(t))
     flagged = {m: c for m, c in levels.items() if c > threshold}
     return OrderLevelReport(t, b, threshold, levels, flagged)
+
+
+def _modulus_orders(b: int, t: int) -> array:
+    """Item d is ord_d(b) for 2 <= d <= t coprime to b, else 0; t >= 2."""
+    spf = smallest_prime_factors(t)
+    orders = array("I", [0]) * (t + 1)
+    for q, o in _prime_orders(b, 2, t, spf):
+        orders[q] = o
+    for d in range(4, t + 1):
+        q = spf[d]
+        if not q:
+            continue
+        n, qe = d // q, q
+        while n % q == 0:
+            n //= q
+            qe *= q
+        if n > 1:
+            orders[d] = math.lcm(orders[qe], orders[n])
+        elif o := orders[d // q]:  # d = q^e with e >= 2
+            orders[d] = _order_dividing(b, d, q * o, (q,))
+    return orders
 
 
 def pseudoprimes_below(b: int, limit: int) -> list[int]:

@@ -287,8 +287,8 @@ def test_decomposition_against_scan_oracle():
     assert decomp.s4_window_hit == 0  # (x^(1/18), x^(1/17)] holds no integer
 
     d = decomp.to_dict()
-    assert list(d) == ["L", "L_clamped", "classes", "overlap", "s4_split", "members"]
-    assert d["L_clamped"] is False
+    # the clamp flag lives once, in summary meta (meta.L_clamped)
+    assert list(d) == ["L", "classes", "overlap", "s4_split", "members"]
     assert d["s4_split"] == {"smooth_heavy": 0, "rest": 2, "window_hit": 0}
 
 
@@ -319,9 +319,10 @@ def test_decomposition_smooth_and_window_branches():
 
 
 def test_decomposition_l_clamp_flag():
-    decomp = decompose_pseudoprimes(pseudo_result([6], 10))
+    result = pseudo_result([6], 10)
+    decomp = decompose_pseudoprimes(result)
     assert decomp.L == 1.0
-    assert decomp.to_dict()["L_clamped"] is True
+    assert summarize(result, decomp).meta["L_clamped"] is True
     assert decomp.counts["s1"] == 1 and decomp.counts["s4"] == 0  # 6 <= 10/1
 
 

@@ -61,10 +61,11 @@ def test_census_deterministic_output_bytes(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of the pomerance artifacts for 37a at x = 20000. Any change to these
-# bytes must be a deliberate, documented fix.
+# bytes must be a deliberate, documented fix. summary.json was re-recorded
+# when meta.pomerance lost its copy of the clamp flag (meta.L_clamped stays).
 GOLDEN_POMERANCE_37A_2E4 = {
     "records.csv": "65e19d618c01ce5471886e3393d93bafeb2092570820f833941a7e80bececc75",
-    "summary.json": "f888635d9a18f701455cb4a0ea8acaab563b506656155408e86adc454efcb53a",
+    "summary.json": "f4c80e1d843409bf4332e9ced0dd53d15b5db853ecb0431fdf97cfb3388eaa3a",
 }
 
 
@@ -93,7 +94,8 @@ def test_pomerance_csv_meta_rows(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     pom = summary["meta"]["pomerance"]
     assert set(pom["s4_split"]) == {"smooth_heavy", "rest", "window_hit"}
-    assert pom["L_clamped"] is False
+    assert summary["meta"]["L_clamped"] is False
+    assert "L_clamped" not in pom  # written once, in meta
 
 
 def test_pomerance_small_x_notes_clamp(tmp_path, capsys):
@@ -334,7 +336,7 @@ GOLDEN_STDOUT_AND_ARTIFACTS = {
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("pomerance", "--x", "20000", "--threads", "1", "--format", "json"): (
-        "f888635d9a18f701455cb4a0ea8acaab563b506656155408e86adc454efcb53a",
+        "f4c80e1d843409bf4332e9ced0dd53d15b5db853ecb0431fdf97cfb3388eaa3a",
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("census", "--curve", "389a", "--base", "3", "--strict-fermat", "--x", "5000",

@@ -56,3 +56,25 @@ def test_sieve_does_not_import_census_at_run_time():
     ]
     assert "census" not in {module for module, _ in package_imports(runtime)}
     assert ("census", "CensusResult") in set(package_imports(parse("sieve.py").body))
+
+
+def layer_calls():
+    """LAYER_CALLS of the benchmark's traced run, read without importing it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)), "perfbench", "traced_cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_CALLS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("LAYER_CALLS not found")
+
+
+def test_every_traced_layer_is_a_cli_callable():
+    # the traced benchmark run wraps each name with setattr on eclab.cli, so
+    # a name the command module no longer holds breaks only that slow run
+    import eclab.cli
+
+    names = sorted(layer_calls())
+    assert "order_level_report" in names and "run_census" in names
+    missing = [name for name in names if not callable(getattr(eclab.cli, name, None))]
+    assert missing == []
