@@ -9,8 +9,9 @@ segment at a time. A row costs 17 bytes from the counting loop to the
 writers; no per-prime object is built. With more than one worker, each
 worker is a forked process that counts its share of the tasks and streams
 the columns back as raw bytes down its own pipe; a full pipe holds it back
-until the parent reads. The multiplicity count holds only the orders still
-inside the Hasse window, so memory grows with the columns alone.
+until the parent reads. The multiplicity count keeps a histogram {M: orders}
+and the orders still inside the Hasse window, and no summary field holds one
+entry per order, so memory grows with the columns alone.
 Counting is deterministic, so worker count never changes the output.
 """
 from __future__ import annotations
@@ -316,7 +317,6 @@ class PomeranceDecomposition(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "L": self.L,
-            "classes": dict(self.counts),
             "overlap": [list(row) for row in self.overlap],
             "s4_split": {
                 "smooth_heavy": self.s4_smooth_heavy,
@@ -447,49 +447,31 @@ def congruence_stats(
 
 
 class MultiplicityStats(NamedTuple):
-    """How often each group order value repeats across primes.
+    """How many distinct group orders occur at exactly M primes, for each M.
 
-    table holds only orders hit at least twice, in increasing n. Every row
-    passed the Hasse check, so the distinct p with n(p) = n lie within
-    isqrt(81 n) + 1 of n, and no multiplicity exceeds the prime count of
-    that window.
+    Every row passed the Hasse check, so the distinct p with n(p) = n lie
+    within isqrt(81 n) + 1 of n, and no multiplicity exceeds the prime count
+    of that window.
     """
 
-    table: dict  # n -> multiplicity, only entries >= 2
-    second_moment: int  # sum of multiplicity^2 over all orders seen
-    collision_pairs: int  # sum of M(M-1): ordered pairs of primes sharing n
-    fitted_delta: float | None  # least-squares slope of log M vs log n, M >= 2
-
-
-def _fit_slope(points: list[tuple[float, float]]) -> float | None:
-    if len(points) < 2:
-        return None
-    xs = [u for u, _ in points]
-    ys = [v for _, v in points]
-    mx = math.fsum(xs) / len(xs)
-    my = math.fsum(ys) / len(ys)
-    den = math.fsum((u - mx) ** 2 for u in xs)
-    if den == 0:
-        return None
-    return math.fsum((u - mx) * (v - my) for u, v in zip(xs, ys)) / den
+    counts: dict  # M -> orders hit exactly M times, M >= 1 ascending
+    second_moment: int  # sum of M^2 over all orders seen
 
 
 def multiplicity_stats(ps, ns) -> MultiplicityStats:
-    """Multiplicities of the orders ns[i] at the primes ps[i], read in order.
+    """The multiplicity histogram of the orders ns[i] at the primes ps[i].
 
     The rows come in increasing p, and every later row has
     n(p') >= p' + 1 - 2 sqrt(p') > p - 1 - 2 isqrt(p) by Hasse. So the count
-    of an order at or below that floor is final: it leaves the open counts,
-    for the table when it is at least 2, and the open counts span only the
-    Hasse window. The pair count is the sum of M(M - 1) over the table, and
-    the second moment is the row count plus the pair count, since the M of
-    all orders sum to the rows. Raises ValueError on a row whose n lies at
-    or below a floor already passed.
+    of an order at or below that floor is final: it leaves the open counts
+    for the histogram, and the open counts span only the Hasse window. The
+    M of all orders sum to the rows. Raises ValueError on a row whose n
+    lies at or below a floor already passed.
     """
     # Imported here, so the commands that never count points do not load it.
     from heapq import heappop, heappush
 
-    table = {}
+    counts: dict[int, int] = {}  # a plain dict: a Counter's += is slower here
     open_counts: dict[int, int] = {}
     heap: list[int] = []  # the keys of open_counts
     floor = -2  # the least p - 1 - 2 isqrt(p) over p >= 0
@@ -498,10 +480,8 @@ def multiplicity_stats(ps, ns) -> MultiplicityStats:
         if f > floor:
             floor = f
             while heap and heap[0] <= floor:
-                done = heappop(heap)
-                m = open_counts.pop(done)
-                if m >= 2:
-                    table[done] = m
+                m = open_counts.pop(heappop(heap))
+                counts[m] = counts.get(m, 0) + 1
         if n <= floor:
             raise ValueError(f"order {n} at p={p} lies below the Hasse floor {floor}")
         m = open_counts.get(n)
@@ -510,18 +490,11 @@ def multiplicity_stats(ps, ns) -> MultiplicityStats:
             heappush(heap, n)
         else:
             open_counts[n] = m + 1
-    for n in sorted(heap):
-        if open_counts[n] >= 2:
-            table[n] = open_counts[n]
-    pairs = sum(m * (m - 1) for m in table.values())
-    delta = _fit_slope(
-        [(math.log(n), math.log(m)) for n, m in table.items() if n > 1]
-    )
+    for m in open_counts.values():
+        counts[m] = counts.get(m, 0) + 1
     return MultiplicityStats(
-        table=table,
-        second_moment=len(ns) + pairs,
-        collision_pairs=pairs,
-        fitted_delta=delta,
+        counts=dict(sorted(counts.items())),
+        second_moment=sum(m * m * c for m, c in counts.items()),
     )
 
 
@@ -538,13 +511,9 @@ class CensusSummary(NamedTuple):
     unit_count: int  # group orders equal to 1
     skipped_bad: list[int]
     s_classes: dict
-    multiplicity: dict  # n -> repeat count, entries >= 2 only
+    multiplicity_counts: dict  # M -> orders hit exactly M times, ascending
     second_moment: int
     meta: dict
-
-    def to_dict(self) -> dict:
-        multiplicity = {str(n): self.multiplicity[n] for n in sorted(self.multiplicity)}
-        return {**self._asdict(), "multiplicity": multiplicity}
 
 
 def summarize(
@@ -578,11 +547,6 @@ def summarize(
         "twin_le_Q": twin <= q,  # must hold in the default Fermat mode
         "pseu_to_twin_ratio": pseu / twin if twin else None,  # observed, never asserted
         "L_clamped": decomposition.L == 1.0,
-        "max_multiplicity": max(
-            mult.table.values(), default=1 if result.n else 0
-        ),
-        "fitted_delta": mult.fitted_delta,
-        "collision_pairs": mult.collision_pairs,
         "cm_curve": result.curve.cm,
     }
     if extra_meta:
@@ -597,7 +561,7 @@ def summarize(
         unit_count=unit,
         skipped_bad=list(result.skipped_bad),
         s_classes=dict(decomposition.counts),
-        multiplicity=dict(mult.table),
+        multiplicity_counts=mult.counts,
         second_moment=mult.second_moment,
         meta=meta,
     )
@@ -620,5 +584,5 @@ def write_records_csv(result: CensusResult, path: str) -> None:
 
 def write_summary_json(summary: CensusSummary, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary.to_dict(), fh, indent=2)
+        json.dump(summary._asdict(), fh, indent=2)
         fh.write("\n")

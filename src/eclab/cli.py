@@ -243,7 +243,7 @@ def _cmd_census(args) -> Report:
         pairs.append(("s4_smooth_heavy", dec.s4_smooth_heavy))
         pairs.append(("s4_rest", dec.s4_rest))
         pairs.append(("s4_window_hit", dec.s4_window_hit))
-    return Report(summary.to_dict(), pairs, paths, _census_invariant_failures(summary))
+    return Report(summary._asdict(), pairs, paths, _census_invariant_failures(summary))
 
 
 def _cmd_verify_classes(args) -> Report:

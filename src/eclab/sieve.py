@@ -145,10 +145,13 @@ def _sifted_test(y: float, z: float):
     """Predicate on n: some prime factor of n lies in [y, z) (empty when y = z).
 
     Factoring n touches only its own few prime factors, where trial division
-    by every sifting prime would scan all of them.
+    by every sifting prime would scan all of them. The presets clamp z up to
+    y at desk scales, and an empty range sifts nothing without factoring.
     """
     if y > z:
         raise ValueError("need y <= z")
+    if y == z:
+        return lambda n: False
     return lambda n: any(y <= q < z for q in factorize(n))
 
 

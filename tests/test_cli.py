@@ -62,10 +62,12 @@ def test_census_deterministic_output_bytes(tmp_path, capsys, monkeypatch):
 
 # sha256 of the pomerance artifacts for 37a at x = 20000. Any change to these
 # bytes must be a deliberate, documented fix. summary.json was re-recorded
-# when meta.pomerance lost its copy of the clamp flag (meta.L_clamped stays).
+# when meta.pomerance lost its copy of the clamp flag (meta.L_clamped stays),
+# and again when the per-order multiplicity table became the histogram
+# multiplicity_counts and meta.pomerance lost its copy of the class sizes.
 GOLDEN_POMERANCE_37A_2E4 = {
     "records.csv": "65e19d618c01ce5471886e3393d93bafeb2092570820f833941a7e80bececc75",
-    "summary.json": "f4c80e1d843409bf4332e9ced0dd53d15b5db853ecb0431fdf97cfb3388eaa3a",
+    "summary.json": "cbf7f106f77d42605a0374b47d52de589947ba59f849f1005f7433103964e883",
 }
 
 
@@ -93,9 +95,12 @@ def test_pomerance_csv_meta_rows(tmp_path, capsys):
         assert key in keys, key
     summary = json.loads((tmp_path / "summary.json").read_text())
     pom = summary["meta"]["pomerance"]
+    # the clamp flag is written once, in meta, and the class sizes once, in
+    # s_classes (the overlap diagonal repeats them as a matrix)
+    assert list(pom) == ["L", "overlap", "s4_split", "members"]
     assert set(pom["s4_split"]) == {"smooth_heavy", "rest", "window_hit"}
     assert summary["meta"]["L_clamped"] is False
-    assert "L_clamped" not in pom  # written once, in meta
+    assert [row[i] for i, row in enumerate(pom["overlap"])] == list(summary["s_classes"].values())
 
 
 def test_pomerance_small_x_notes_clamp(tmp_path, capsys):
@@ -329,14 +334,15 @@ def sha256(data) -> str:
 
 
 # sha256 of stdout and of every artifact, recorded before the subcommands
-# shared one report path. Cases: argv -> (stdout, {artifact: digest}).
+# shared one report path; the summary.json digests were re-recorded when the
+# multiplicity table became a histogram. Cases: argv -> (stdout, {artifact: digest}).
 GOLDEN_STDOUT_AND_ARTIFACTS = {
     ("pomerance", "--x", "20000", "--threads", "1"): (
         "070fc25658c364c93fd48acd8e5edd81be78106ea9f9e32fe3f727d14306df22",
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("pomerance", "--x", "20000", "--threads", "1", "--format", "json"): (
-        "f4c80e1d843409bf4332e9ced0dd53d15b5db853ecb0431fdf97cfb3388eaa3a",
+        "cbf7f106f77d42605a0374b47d52de589947ba59f849f1005f7433103964e883",
         GOLDEN_POMERANCE_37A_2E4,
     ),
     ("census", "--curve", "389a", "--base", "3", "--strict-fermat", "--x", "5000",
@@ -344,7 +350,7 @@ GOLDEN_STDOUT_AND_ARTIFACTS = {
         "e629eb199d73feeb27eefac4315dad3f05294058c7e54ababc283928558c6664",
         {
             "records.csv": "b1f70ba7a0a10099df59a290204ad07d8f0837838d53b40f68b321ec9d7c973b",
-            "summary.json": "725733843636929b62d2bfc4b938c426af072bd1589127b13aa538787371459e",
+            "summary.json": "b741aa09093e5bb2c80c87fa2188bd527ba1d9a7d04b9ed632e1e90c4d77edc9",
         },
     ),
     ("verify-classes", "--cap", "20"): (

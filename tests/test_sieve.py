@@ -1,4 +1,5 @@
 """Sieve densities, Euler products, envelopes, and the empirical S/T split."""
+import json
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 import eclab.gl2
 import eclab.sieve
 from eclab.census import CensusResult, run_census
+from eclab.cli import main
 from eclab.curves import TraceRecord, get_curve
 from eclab.gl2 import class_density
 from eclab.primes import primes_up_to
@@ -286,6 +288,27 @@ def test_empirical_counts_hand_records():
     r1 = TraceRecord(2, 2, 1)
     assert empirical_S([r1], 2, 100) == 1
     assert empirical_T([r1], 2, 2, 100) == 0
+
+
+def test_empty_sifting_range_factors_nothing(tmp_path, capsys, monkeypatch):
+    # both presets clamp z up to y at desk scales, so [y, y) sifts nothing
+    records = run_census(get_curve("37a"), 2000, threads=1).records
+
+    def forbidden(n):
+        raise AssertionError(f"factored {n} for an empty sifting range")
+
+    monkeypatch.setattr(eclab.sieve, "factorize", forbidden)
+    monkeypatch.setenv("ECLAB_THREADS", "1")
+    assert empirical_S(records, 7.5, 7.5) == len(records)
+    assert empirical_T(records, 2, 7.5, 7.5) == 0
+    out = tmp_path / "out"
+    argv = ["sieve-report", "--preset", "grh", "--x", "20000", "--out", str(out), "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["y"] == report["z"] and report["empirical_T"] == 0
+    assert report["empirical_S"] == report["meta"]["pi_x"] - 1  # 37 is bad
+    with pytest.raises(AssertionError, match="factored"):
+        empirical_S(records, 5, 50)  # a non-empty range still factors
 
 
 def test_empirical_S_against_trial_division():
