@@ -24,9 +24,12 @@ the cubic when that is a square. The search then runs only over
 N = n0 (mod M), with Q = M*P in a baby table keyed on x alone, so one entry
 x(jQ) stands for both jQ and -jQ and one giant step covers 2m + 1 values of
 N. The first giant is a short multiple of the stride (2m + 1)Q, plus P at
-most. Points come from deterministic x-walks on E and on its quadratic
-twist in turn, and their congruences are merged in closed form; an exact
-character sum decides only if both walks run dry. A separate
+most. Points come in turn from two deterministic walks over the same x:
+one keeps the x where x^3 + Ax + B is a nonzero square (points of E), the
+other those where it is a non-square (points of the quadratic twist). Their
+congruences are merged in closed form. If both walks run dry, every x has
+been drawn once, and p + 1 plus the draws on E less those on the twist is
+the exact order. A separate
 exhaustive-enumeration oracle (naive_count) provides an independent check.
 """
 from __future__ import annotations
@@ -292,14 +295,16 @@ def _two_torsion_class(p: int, a: int, b: int) -> tuple[int, int]:
     return (0, 4) if (c0, c1, c2) == (0, 1, 0) else (1, 2)
 
 
-def _walk_points(p: int, a: int, b: int):
-    """Points (X, Y, A), Y != 0: (X, Y) lies on Y^2 = X^3 + AX + B, a model
-    isomorphic to y^2 = x^3 + ax + b over F_p.
+def _walk_points(p: int, a: int, b: int, symbol: int):
+    """Points (X, Y, A), Y != 0, one per x whose t = x^3 + ax + b has
+    Legendre symbol `symbol` (1 or p - 1): (X, Y) = (xt, t^2) lies on
+    Y^2 = X^3 + AX + B with A = at^2, B = bt^3, y^2 = x^3 + ax + b scaled by
+    u^2 = t. That model is E itself when t is a square and its quadratic
+    twist when it is not, and no square root is taken.
 
     x walks x0, x0 + 1, ... once round F_p from an x0 fixed by (p, a, b), so
-    the draws are deterministic and cheap. Where t = x^3 + ax + b is a
-    nonzero square, (xt, t^2) lies on the model scaled by u^2 = t
-    (A = at^2, B = bt^3), which needs no square root. Points with y = 0
+    the draws are deterministic and cheap, and the walks with symbol 1 and
+    p - 1 together draw every x with t != 0 exactly once. Points with y = 0
     have order 2 and say nothing the 2-torsion class does not.
     """
     e = (p - 1) // 2
@@ -307,7 +312,7 @@ def _walk_points(p: int, a: int, b: int):
     for i in range(p):
         x = (x0 + i) % p
         t = (x * x % p * x + a * x + b) % p
-        if t and pow(t, e, p) == 1:
+        if t and pow(t, e, p) == symbol:
             yield x * t % p, t * t % p, a * t % p * t % p
 
 
@@ -442,24 +447,6 @@ def _point_multiples_in_window(
     return sorted(first + k * M for k in found if 0 <= k < K)
 
 
-def _order_character_sum(p: int, a: int, b: int) -> int:
-    e = (p - 1) // 2
-    n = p + 1
-    for x in range(p):
-        f = (x * x % p * x + a * x + b) % p
-        if f:
-            n += 1 if pow(f, e, p) == 1 else -1
-    return n
-
-
-def _twist_points(p: int, a: int, b: int):
-    """_walk_points on the twist by d, the least non-residue, found lazily."""
-    d = 2
-    while pow(d, (p - 1) // 2, p) != p - 1:
-        d += 1
-    yield from _walk_points(p, a * d % p * d % p, b * d % p * d % p * d % p)
-
-
 def _group_order_bsgs(p: int, a: int, b: int) -> int:
     """#E(F_p) for y^2 = x^3 + ax + b from points of E and its twist in turn.
 
@@ -468,23 +455,26 @@ def _group_order_bsgs(p: int, a: int, b: int) -> int:
     2p + 2, and n0 = 1 only for M = 2), so a twist point's N stands for
     n = 2p + 2 - N. The congruences merge in closed form until one N is left.
     For p > 229, E or its twist has a point that leaves one (Mestre; Schoof,
-    JTNB 1995, Sec. 4); below that both walks can run dry, and an exact
-    character sum decides.
+    JTNB 1995, Sec. 4). Below that both walks can run dry; then each x with
+    t = x^3 + ax + b != 0 has been drawn once, on E if t is a square and on
+    the twist if not, so n = p + 1 + (draws on E) - (draws on the twist).
     """
     n0, M = _two_torsion_class(p, a, b)
     half = isqrt(4 * p)
     lo, hi = p + 1 - half, p + 1 + half
     r, L = n0, M  # n = r (mod L)
-    walks = [(False, _walk_points(p, a, b)), (True, _twist_points(p, a, b))]
+    tally = p + 1  # p + 1 + (draws on E) - (draws on the twist)
+    walks = [(1, _walk_points(p, a, b, 1)), (-1, _walk_points(p, a, b, p - 1))]
     while walks:  # E and the twist in turn; a walk that runs dry drops out
-        twist, walk = walks.pop(0)
+        sign, walk = walks.pop(0)
         pt = next(walk, None)
         if pt is None:
             continue
-        walks.append((twist, walk))
+        walks.append((sign, walk))
+        tally += sign
         x1, y1, a1 = pt
         ns = _point_multiples_in_window(p, a1, x1, y1, lo, hi, n0, M)
-        if twist:
+        if sign < 0:
             ns = [2 * p + 2 - N for N in reversed(ns)]
         if len(ns) == 1:
             return ns[0]
@@ -500,7 +490,7 @@ def _group_order_bsgs(p: int, a: int, b: int) -> int:
         n = lo + (r - lo) % L
         if n + L > hi:
             return n
-    return _order_character_sum(p, a, b)
+    return tally
 
 
 def _cornacchia(p: int, r: int, d: int) -> tuple[int, int]:

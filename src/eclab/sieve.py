@@ -117,8 +117,9 @@ def count_envelope(x: float, mode: str, eps: float = 0.0) -> float:
 class SieveParams(NamedTuple):
     y: float
     z: float
-    # Raw values before clamping z up to y; at desk scales the named presets
-    # produce z < y (an empty sifting range), which is recorded, not hidden.
+    # Raw values before flooring y at 1 and clamping z up to y; at desk scales
+    # the named presets produce z < y (an empty sifting range), and at x = 100
+    # the unconditional y < 1, which is recorded, not hidden.
     raw_y: float
     raw_z: float
     preset: str | None = None
@@ -137,8 +138,8 @@ def preset_params(x: float, mode: str) -> SieveParams:
         z = x ** (1 / 14) / lx
     else:
         raise ValueError(f"unknown preset {mode!r}")
-    y = max(1.0, y)
-    return SieveParams(y, max(y, z), y, z, preset=mode)
+    floored = max(1.0, y)
+    return SieveParams(floored, max(floored, z), y, z, preset=mode)
 
 
 def _sifted_test(y: float, z: float):

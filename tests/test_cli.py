@@ -478,23 +478,31 @@ def test_sieve_report_q_above_s_plus_t_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_census_partition_failure_exits_one(tmp_path, capsys, monkeypatch):
+    """A failed partition exits 1, and so does twin > Q under the b^n = b
+    test; twin > Q under --strict-fermat is no failure and exits 0."""
+    cases = [
+        ("partition_ok", (), "partition failed: Q != fermat-passing primes + pseudoprimes + units"),
+        ("twin_le_Q", (), "ordering failed: twin exceeds Q under the b^n = b test"),
+        ("twin_le_Q", ("--strict-fermat",), None),
+    ]
+    falsified = []  # the meta key summarize reports false, one per case
     wrap(
         monkeypatch, eclab.cli, "summarize",
-        lambda summary, *a: summary._replace(meta={**summary.meta, "partition_ok": False}),
+        lambda summary, *a: summary._replace(meta={**summary.meta, falsified[-1]: False}),
     )
-    code, stdout, stderr = run(
-        capsys, "census", "--x", "300", "--threads", "1", "--out", str(tmp_path),
-        "--format", "json",
-    )
-    assert code == 1
-    assert stderr.splitlines() == [
-        f"wrote {tmp_path / 'records.csv'} {tmp_path / 'summary.json'}",
-        "invariant violated: partition failed: "
-        "Q != fermat-passing primes + pseudoprimes + units",
-    ]
-    assert json.loads(stdout)["meta"]["partition_ok"] is False
-    assert json.loads((tmp_path / "summary.json").read_text())["meta"]["partition_ok"] is False
-    assert (tmp_path / "records.csv").read_text().startswith(RECORDS_HEADER + "\n")
+    for i, (key, extra, message) in enumerate(cases):
+        falsified.append(key)
+        out = tmp_path / str(i)
+        code, stdout, stderr = run(
+            capsys, "census", "--x", "300", "--threads", "1", "--out", str(out),
+            "--format", "json", *extra,
+        )
+        assert code == (1 if message else 0), key
+        wrote = f"wrote {out / 'records.csv'} {out / 'summary.json'}"
+        assert stderr.splitlines() == [wrote] + [f"invariant violated: {message}"] * bool(message)
+        assert json.loads(stdout)["meta"][key] is False
+        assert json.loads((out / "summary.json").read_text())["meta"][key] is False
+        assert (out / "records.csv").read_text().startswith(RECORDS_HEADER + "\n")
 
 
 @pytest.mark.parametrize(
@@ -618,6 +626,7 @@ def test_usage_errors(tmp_path, capsys):
     ("--x", "1000", "--y=-5", "--z=-1"),
     ("--x", "1000", "--y", "5", "--z", "inf"),
     ("--x", "1000", "--y", "nan", "--z", "50"),
+    ("--x", "1"),
 ])
 def test_sieve_report_rejects_bad_input_before_counting(tmp_path, capsys, monkeypatch, argv):
     def counted(*args, **kwargs):

@@ -207,45 +207,65 @@ def test_character_sum_fallback_is_taken(monkeypatch, label, p):
     rc = reduce_mod(get_curve(label), p)
     walks = _spy_walks(monkeypatch)
     windows = _spy(monkeypatch, "_point_multiples_in_window")
-    fallback = _spy(monkeypatch, "_order_character_sum")
     # 32a reduces to j = 1728, which count_points counts in closed form
     n = _group_order_bsgs(p, *short_model(rc)) if label == "32a" else count_points(rc)
     assert len(walks) == 2 and all(drawn[-1] is None for _, drawn in walks)
     assert len(windows) == sum(len(drawn) - 1 for _, drawn in walks)
-    assert fallback == [n]
+    assert n == p + 1 + len(walks[0][1]) - len(walks[1][1])  # draws on E less the twist's
     assert n == naive_count(rc)
 
 
-def test_twist_draw_decides_37a_at_241(monkeypatch):
-    """Above Mestre's bound E's first point leaves two orders, and the next
-    draw, the first point of the twist, leaves one."""
-    p = 241
+def test_bsgs_matches_a_character_sum_on_every_short_model_to_61(monkeypatch):
+    """Every y^2 = x^3 + ax + b with ab != 0 at every prime 5 <= p <= 61,
+    against p + 1 + sum of the Legendre symbols of x^3 + ax + b. Both walks
+    run dry, and the draws alone decide, only at p = 11, 17 and 23."""
+    walks = _spy_walks(monkeypatch)
+    models = 0
+    dry = {}
+    for p in primes_up_to(61)[2:]:
+        e = (p - 1) // 2
+        legendre = [0] + [1 if pow(t, e, p) == 1 else -1 for t in range(1, p)]
+        for a in range(1, p):
+            for b in range(1, p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                walks.clear()
+                n = _group_order_bsgs(p, a, b)
+                assert n == p + 1 + sum(legendre[(x**3 + a * x + b) % p] for x in range(p)), (p, a, b)
+                if all(drawn[-1:] == [None] for _, drawn in walks):
+                    dry[p] = dry.get(p, 0) + 1
+                models += 1
+    assert models == 19008
+    assert dry == {11: 10, 17: 16, 23: 22}
+
+
+def test_twist_draw_decides_37a_at_461(monkeypatch):
+    """Above Mestre's bound E's first point leaves two or more orders, and
+    the next draw, the first point of the twist, leaves one."""
+    p = 461
     rc = reduce_mod(get_curve("37a"), p)
     a, b = short_model(rc)
     walks = _spy_walks(monkeypatch)
     windows = _spy(monkeypatch, "_point_multiples_in_window")
-    fallback = _spy(monkeypatch, "_order_character_sum")
     n = count_points(rc)
-    d = least_nonresidue(p)
-    assert [args for args, _ in walks] == [(p, a, b), (p, a * d * d % p, b * d**3 % p)]
+    assert [args for args, _ in walks] == [(p, a, b, 1), (p, a, b, p - 1)]
     assert [len(drawn) for _, drawn in walks] == [1, 1]
     assert len(windows) == 2 and len(windows[0]) > 1
     assert windows[1] == [2 * p + 2 - n]  # the twist's order
-    assert fallback == []
     assert n == naive_count(rc)
 
 
 # No single point leaves one order here; their merged congruences do.
-@pytest.mark.parametrize("label,p", [("37a", 2903), ("389a", 929), ("11a", 467)])
+@pytest.mark.parametrize("label,p", [("37a", 1627), ("389a", 1511), ("11a", 593)])
 def test_points_decide_together_by_crt(monkeypatch, label, p):
     rc = reduce_mod(get_curve(label), p)
+    walks = _spy_walks(monkeypatch)
     windows = _spy(monkeypatch, "_point_multiples_in_window")
     bsgs = _spy(monkeypatch, "_group_order_bsgs")
-    fallback = _spy(monkeypatch, "_order_character_sum")
     n = count_points(rc)
     assert len(windows) >= 2 and all(len(ns) > 1 for ns in windows)
     assert bsgs == [n]
-    assert fallback == []
+    assert all(drawn[-1:] != [None] for _, drawn in walks)  # neither walk ran dry
     assert n == naive_count(rc)
 
 
@@ -254,7 +274,6 @@ def test_walks_on_e_and_twist_decide_x3_plus_x2_minus_2x_in_four_draws(monkeypat
     on E before the first on the twist took 11 or 12 at p = 47, 73, 97, 193."""
     curve = WeierstrassCurve(0, 1, 0, -2, 0)
     windows = _spy(monkeypatch, "_point_multiples_in_window")
-    fallback = _spy(monkeypatch, "_order_character_sum")
     draws = {}
     for p in primes_up_to(29999):
         rc = reduce_mod(curve, p)
@@ -267,7 +286,6 @@ def test_walks_on_e_and_twist_decide_x3_plus_x2_minus_2x_in_four_draws(monkeypat
             draws[p] = len(windows)
     assert len(draws) == 3236
     assert max(draws.values()) <= 4
-    assert fallback == []
 
 
 def test_window_without_the_order_raises(monkeypatch):
@@ -322,7 +340,7 @@ def _decade_sample(d: int, size: int = 200) -> list[int]:
     return sorted(sample)
 
 
-@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9])
 def test_closed_form_matches_bsgs_by_decade(d):
     for p in _decade_sample(d):
         for curve in (WeierstrassCurve(0, 0, 0, 0, 2), WeierstrassCurve(0, 0, 0, -1, 0)):
@@ -423,7 +441,7 @@ _OCTAVES = [
     p=st.sampled_from(_OCTAVES).flatmap(st.sampled_from),
 )
 @example(coeffs=(0, 0, 0, -1, 0), p=29)  # 32a: the j = 1728 closed form
-@example(coeffs=(0, 1, 1, -2, 0), p=11)  # 389a: both walks run dry, the character sum decides
+@example(coeffs=(0, 1, 1, -2, 0), p=11)  # 389a: both walks run dry, the draws decide
 @example(coeffs=(0, -1, 1, -10, -20), p=13)  # 11a: the twist's first point decides
 def test_count_points_matches_enumeration_on_random_long_models(coeffs, p):
     try:

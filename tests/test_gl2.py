@@ -217,6 +217,8 @@ def test_ratio_bounds_literals():
     assert check.lower == Fraction(1, 4) and check.upper == Fraction(1, 2)
     check = ratio_bounds_check(5, 2, 0)
     assert check.upper == Fraction(1, 20) * (1 + Fraction(1, 124 * 24))
+    with pytest.raises(ValueError, match="need a prime ell"):
+        ratio_bounds_check(4, 1, 0)
 
 
 def test_class_counts_multiplicative():
@@ -246,3 +248,5 @@ def test_enumeration_cap():
     class_count_table(64)
     with pytest.raises(EnumerationLimitError):
         class_count_table(65)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        class_count_table(1)

@@ -186,6 +186,8 @@ def test_multiplicative_order_falls_back_to_scan_when_factoring_fails(monkeypatc
 def test_multiplicative_order_requires_coprime():
     with pytest.raises(ValueError):
         multiplicative_order(2, 4)
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        multiplicative_order(2, 0)
 
 
 def cr_scan(b: int, d: int) -> int:

@@ -249,6 +249,8 @@ def test_preset_params():
     assert p.raw_z < 1 < p.y  # degenerate at desk scale
     assert p.z == p.y  # clamped so the sifting range is empty, not inverted
     assert p.raw_y == p.y
+    low = preset_params(100, "unconditional")  # y = 0.98754... is floored to 1
+    assert low.raw_y == pytest.approx(0.98754, abs=1e-5) and low.y == low.z == 1.0
     g = preset_params(10**5, "grh")
     assert g.raw_z < g.y and g.z == g.y
     big = preset_params(1e150, "grh")
