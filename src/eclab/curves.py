@@ -27,10 +27,10 @@ N. The first giant is a short multiple of the stride (2m + 1)Q, plus P at
 most. Points come in turn from two deterministic walks over the same x:
 one keeps the x where x^3 + Ax + B is a nonzero square (points of E), the
 other those where it is a non-square (points of the quadratic twist). Their
-congruences are merged in closed form. If both walks run dry, every x has
-been drawn once, and p + 1 plus the draws on E less those on the twist is
-the exact order. A separate
-exhaustive-enumeration oracle (naive_count) provides an independent check.
+congruences are merged in closed form. If both walks run dry, every x with
+x^3 + Ax + B != 0 has been drawn once, and p + 1 plus the draws on E less
+those on the twist is the exact order. A separate exhaustive-enumeration
+oracle (naive_count) provides an independent check.
 """
 from __future__ import annotations
 
