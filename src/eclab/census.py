@@ -7,11 +7,11 @@ when n is a Fermat pseudoprime (passes, composite, n != 1). a_p = p + 1 - n
 is computed only where it is printed. The primes arrive one array('q')
 segment at a time. A row costs 17 bytes from the counting loop to the
 writers; no per-prime object is built. With more than one worker, each
-worker is a forked process that counts its share of the tasks and streams
-the columns back as raw bytes down its own pipe; a full pipe holds it back
-until the parent reads. The multiplicity count keeps a histogram {M: orders}
-and the orders still inside the Hasse window, and no summary field holds one
-entry per order, so memory grows with the columns alone.
+worker is a forked process that counts its share of the tasks and sends
+each task's columns back as one pickle down its own pipe; a full pipe holds
+it back until the parent reads. The multiplicity count keeps a histogram
+{M: orders} and the orders still inside the Hasse window, and no summary
+field holds one entry per order, so memory grows with the columns alone.
 Counting is deterministic, so worker count never changes the output.
 """
 from __future__ import annotations
@@ -23,7 +23,6 @@ from array import array
 from collections import Counter
 from itertools import chain, islice
 from math import isqrt
-from struct import Struct
 from typing import NamedTuple
 
 from .arith import factorize, is_prime, prime_factors
@@ -108,37 +107,20 @@ def worker_count(threads: int | None = None) -> int:
     return threads
 
 
-# A worker's message header: (rows, bad primes) for a task's result, then
-# its columns; (_RAISED, size) and a pickled exception; or (_END, 0).
-_HEADER = Struct("=qq")
-_RAISED, _END = -1, -2
-
-
 def _messages(tasks):
-    """A worker's messages, as bytes: one per task, then the trailer.
+    """A worker's messages, each a pickle: one chunk per task, then None.
 
-    A task that raises ends the stream with its pickled exception instead.
+    A task that raises ends the stream with its exception instead of None.
     """
+    import pickle
+
     try:
         for task in tasks:
-            ps, ns, verdicts, bad = _census_chunk(task)
-            yield b"".join(
-                (_HEADER.pack(len(ps), len(bad)), ps, ns, verdicts, array("q", bad))
-            )
+            yield pickle.dumps(_census_chunk(task))
     except Exception as exc:
-        import pickle
-
-        blob = pickle.dumps(exc)
-        yield _HEADER.pack(_RAISED, len(blob)) + blob
+        yield pickle.dumps(exc)
     else:
-        yield _HEADER.pack(_END, 0)
-
-
-def _read_exact(reader, size: int) -> bytes:
-    data = reader.read(size)
-    if len(data) != size:
-        raise ChildProcessError("a census worker ended before its trailer")
-    return data
+        yield pickle.dumps(None)
 
 
 def _receive(reader):
@@ -146,19 +128,15 @@ def _receive(reader):
 
     Re-raises the exception of a task that raised.
     """
-    rows, extra = _HEADER.unpack(_read_exact(reader, _HEADER.size))
-    if rows == _END:
-        return None
-    if rows == _RAISED:
-        import pickle
+    import pickle
 
-        raise pickle.loads(_read_exact(reader, extra))
-    ps, ns, bad = array("q"), array("q"), array("q")
-    ps.frombytes(_read_exact(reader, ps.itemsize * rows))
-    ns.frombytes(_read_exact(reader, ns.itemsize * rows))
-    verdicts = _read_exact(reader, rows)
-    bad.frombytes(_read_exact(reader, bad.itemsize * extra))
-    return ps, ns, verdicts, bad
+    try:
+        message = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError("a census worker ended before its trailer") from None
+    if isinstance(message, BaseException):
+        raise message
+    return message
 
 
 def _forked_chunks(tasks, workers: int):
@@ -301,7 +279,9 @@ class PomeranceDecomposition(NamedTuple):
     divisor supported on primes of b and gcd(n'', b) = 1: s4_smooth_heavy
     has n' > x^(2/3), s4_rest is the complement (the two partition s4),
     and s4_window_hit counts s4_rest records where n'' has a divisor d
-    with x^(1/18) < d <= x^(1/17); such a d is prime to b, as n'' is.
+    with x^(1/18) < d <= x^(1/17); such a d is prime to b, as n'' is. Both
+    bounds are tested in integers (n'^3 > x^2, d^18 > x >= d^17), so a
+    perfect power x falls on the right side.
     """
 
     x: int
@@ -356,6 +336,16 @@ def smooth_split(n: int, base: int) -> tuple[int, int]:
     return smooth, n
 
 
+def _iroot(x: int, k: int) -> int:
+    """The largest r >= 0 with r^k <= x, for x >= 0."""
+    r = int(x ** (1 / k))
+    while r**k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
 def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
     """Pomerance's classes s1-s4 of the rows whose order is a pseudoprime.
 
@@ -369,9 +359,8 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
     overlap = [[0] * 4 for _ in range(4)]
     members: dict[str, list] = {name: [] for name in _CLASS_NAMES}
     s4_heavy = s4_rest = s4_window = 0
-    heavy = x ** (2 / 3)
-    # the integers d with x^(1/18) < d <= x^(1/17)
-    window = range(math.floor(x ** (1 / 18)) + 1, math.floor(x ** (1 / 17)) + 1)
+    # the integers d with d^18 > x >= d^17
+    window = range(_iroot(x, 18) + 1, _iroot(x, 17) + 1)
     for n in sorted(rows):
         k = rows[n]
         labels = _classify_pseudoprime(n, x, base, L)
@@ -382,7 +371,7 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
                 overlap[i][j] += k
         if "s4" in labels:
             smooth, coprime = smooth_split(n, base)
-            if smooth > heavy:
+            if smooth**3 > x * x:  # n' > x^(2/3), exactly
                 s4_heavy += k
             else:
                 s4_rest += k

@@ -175,7 +175,7 @@ def trace_records(curve: WeierstrassCurve, primes) -> tuple[array, array, list[i
     Every p must be prime; none is re-checked. The integer short model is
     computed once per call, so each p >= 5 costs three reductions (A, B and
     the discriminant) and one count. The two columns are array('q'), 8 bytes
-    a row, which census workers stream as raw bytes. Raises ArithmeticError
+    a row, which census workers send back pickled. Raises ArithmeticError
     on a trace a_p = p + 1 - n outside the Hasse bound.
     """
     coeffs = curve.coefficients()
@@ -574,11 +574,12 @@ _BUILTIN_LINES = (
 
 def parse_curve_line(line: str) -> WeierstrassCurve:
     """Parse 'label:a1,a2,a3,a4,a6[,cm=0|1]'; cm= is a claim checked against j.
-    An unknown or repeated option is a malformed line (ValueError)."""
+    A label holding ',', or an unknown or repeated option, is a malformed
+    line (ValueError)."""
     head, sep, tail = line.partition(":")
     label = head.strip()
-    if not sep or not label:
-        raise ValueError(f"malformed curve line (missing 'label:'): {line!r}")
+    if not sep or not label or "," in label:
+        raise ValueError(f"malformed curve line (needs a 'label:' without ','): {line!r}")
     parts = [t.strip() for t in tail.split(",")]
     if len(parts) < 5:
         raise ValueError(f"curve line needs five coefficients: {line!r}")

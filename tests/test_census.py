@@ -1,4 +1,5 @@
 """Census records, verdict flags, decomposition, congruence and multiplicity stats."""
+import io
 import json
 import math
 import os
@@ -373,12 +374,12 @@ def decomposition_oracle(ns, verdicts, x, base):
             coprime = n
             while math.gcd(coprime, base) > 1:
                 coprime //= math.gcd(coprime, base)
-            if n // coprime > x ** (2 / 3):
+            if (n // coprime) ** 3 > x * x:  # n' > x^(2/3)
                 heavy += 1
             else:
                 rest += 1
                 window += any(
-                    x ** (1 / 18) < d <= x ** (1 / 17) and math.gcd(d, base) == 1
+                    d**18 > x >= d**17 and math.gcd(d, base) == 1
                     for d in range(1, coprime + 1)
                     if coprime % d == 0
                 )
@@ -397,6 +398,9 @@ def decomposition_oracle(ns, verdicts, x, base):
         (10**5, [1729, 341, 19951, 341, 561, 1729, 12288, 1729, 19951, 12288], (2, 5, 0)),
         # 3^11 is s4 with a window hit at x = 3^17, 2^18 is smooth-heavy
         (3**17, [3**11, 2**18, 341, 3**11, 2**18, 561, 2**18, 341, 1729, 1729], (3, 2, 2)),
+        # n' = 2^12 of 12288 equals x^(2/3) exactly, which is not smooth-heavy;
+        # the float x ** (2 / 3) reads 4095.999999999998
+        (2**18, [12288, 341, 2**13 * 3, 12288, 561, 1729, 12288], (1, 3, 0)),
     ],
 )
 def test_decomposition_with_repeated_orders_matches_per_row_oracle(x, ns, s4_bins):
@@ -414,6 +418,24 @@ def test_decomposition_with_repeated_orders_matches_per_row_oracle(x, ns, s4_bin
     assert (decomp.s4_smooth_heavy, decomp.s4_rest, decomp.s4_window_hit) == bins == s4_bins
     assert decomp.members == members
     assert list(decomp.counts) == list(decomp.members) == list(counts)
+
+
+def test_s4_split_at_a_perfect_cube_x():
+    # base 100: n' = 100 = x^(2/3) at x = 1000 is not smooth-heavy
+    result = run_census(get_curve("11a"), 1000, base=100, threads=1)
+    decomp = decompose_pseudoprimes(result)
+    bins = (decomp.s4_smooth_heavy, decomp.s4_rest, decomp.s4_window_hit)
+    assert bins == decomposition_oracle(result.n, result.verdicts, 1000, 100)[2]
+    assert bins == (0, 35, 0)
+
+
+def test_iroot_is_exact_at_perfect_powers():
+    for k in (17, 18):
+        for d in range(1, 40):
+            assert census._iroot(d**k - 1, k) == d - 1
+            assert census._iroot(d**k, k) == census._iroot(d**k + 1, k) == d
+    # the s4 window x^(1/18) < d <= x^(1/17) is empty at x = 4^18
+    assert census._iroot(4**18, 18) == census._iroot(4**18, 17) == 4
 
 
 def test_decomposition_classifies_and_splits_each_distinct_order_once(monkeypatch):
@@ -680,6 +702,27 @@ def in_worker_only(action):
 DOOMED = primes_up_to(3000)[40]
 REAL_CHUNK = census._census_chunk
 REAL_MESSAGES = census._messages
+
+
+def test_receive_reads_each_message_and_rejects_every_truncated_one():
+    task = (CURVE, tuple(primes_up_to(100)), 2, False)
+
+    def failing_tasks():
+        yield task
+        raise ArithmeticError("injected")
+
+    chunk, end = census._messages(iter([task]))
+    same_chunk, raised = census._messages(failing_tasks())
+    assert same_chunk == chunk
+    stream = io.BytesIO(chunk + raised + end)
+    assert census._receive(stream) == census._census_chunk(task)
+    with pytest.raises(ArithmeticError, match="injected"):
+        census._receive(stream)
+    assert census._receive(stream) is None
+    for message in (chunk, raised, end):
+        for size in range(len(message)):
+            with pytest.raises(ChildProcessError):
+                census._receive(io.BytesIO(message[:size]))
 
 
 @pytest.mark.usefixtures("deadline")
