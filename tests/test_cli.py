@@ -237,6 +237,31 @@ def test_order_stats_at_benchmark_size_is_golden(tmp_path, capsys, base):
     assert digests == GOLDEN_ORDER_STATS_1E4[base]
 
 
+# sha256 of classes.csv and stdout for verify-classes --cap 64 (the benchmark's
+# size and the enumeration cap), recorded while the class counts came from one
+# big-integer product per modulus.
+GOLDEN_VERIFY_CLASSES_64 = {
+    "csv": (
+        "9cd6f55fa7d702fd0ab022c26315fe1c7164d81cdec3dbd93ad2320b193ff71a",
+        "328bf823b89f5edc11be799422eaee614eb575dd075a9c3280c60c94a3af07ae",
+    ),
+    "json": (
+        "9cd6f55fa7d702fd0ab022c26315fe1c7164d81cdec3dbd93ad2320b193ff71a",
+        "359495dff5d91fa4a5e29afdf047cb2c83a86387b4f699e730dfb6caa1757418",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_VERIFY_CLASSES_64))
+def test_verify_classes_at_benchmark_size_is_golden(tmp_path, capsys, fmt):
+    code, stdout, _ = run(
+        capsys, "verify-classes", "--cap", "64", "--format", fmt, "--out", str(tmp_path)
+    )
+    assert code == 0
+    digests = (sha256((tmp_path / "classes.csv").read_bytes()), sha256(stdout))
+    assert digests == GOLDEN_VERIFY_CLASSES_64[fmt]
+
+
 def test_order_stats_json(tmp_path, capsys):
     code, stdout, _ = run(
         capsys,
