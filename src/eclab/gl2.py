@@ -2,11 +2,10 @@
 
 C_r(n) is the set of invertible 2x2 matrices g over Z/n with
 det(g) + 1 - tr(g) = r (mod n). Everything here is exact. Enumeration
-counts the diagonal pairs (a, d) by trace and product and the off-diagonal
-pairs (b, c) by product, then combines the two histograms with one
-big-integer multiplication (Kronecker substitution: each histogram is packed
-into an integer, one coefficient per fixed-width slot). Predictions and
-bounds use Fraction arithmetic.
+writes g - I = [[x, b], [c, y]], so that r = xy - bc, counts the pairs
+(x, y) by sum and product, and keeps the matrices with a unit determinant
+by a Moebius sum over the squarefree divisors of n. Predictions are
+integers; densities and bounds are Fractions.
 
 `prime_class_counts` is the one home of the closed forms at a prime ell:
 |C_0(ell)|, |C_1(ell)|, the other |C_r(ell)| and |GL2(F_ell)|. The sieve
@@ -15,9 +14,7 @@ C_0(ell) holds exactly the Frobenius classes with ell | n(p).
 """
 from __future__ import annotations
 
-import sys
-from array import array
-from math import gcd
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import euler_phi, factorize, is_prime
@@ -25,12 +22,9 @@ from .arith import euler_phi, factorize, is_prime
 if TYPE_CHECKING:
     from fractions import Fraction
 
+# The cap bounds time: enumeration at n takes about n^2 steps per squarefree
+# divisor of n, and the sweep of every n <= 64 takes about 40 ms.
 ENUMERATION_CAP = 64
-
-# One product coefficient per 32-bit slot: a coefficient is at most
-# ENUMERATION_CAP**3 = 2**18 (see _correlations).
-_SLOT_TYPECODE = "I"
-_SLOT_BYTES = 4
 
 
 class EnumerationLimitError(ValueError):
@@ -63,75 +57,39 @@ def gl2_order(n: int) -> int:
     return order
 
 
-def _histograms(n: int) -> tuple[list[list[int]], list[int]]:
-    """The two enumerated halves of a 2x2 matrix mod n.
-
-    ps[u][v] = #{(a, d) : a + d = u, ad = v} over the diagonal pairs and
-    bc[w] = #{(b, c) : bc = w} over the off-diagonal pairs, all mod n.
-    """
-    ps = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for d in range(n):
-            ps[(a + d) % n][a * d % n] += 1
-    bc = [0] * n
-    for b in range(n):
-        for c in range(n):
-            bc[b * c % n] += 1
-    return ps, bc
-
-
-def _little_endian(slots: array) -> array:
-    """`slots` with little-endian items: byteswapped in place on big-endian
-    hosts, so the same call both packs and unpacks."""
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots
-
-
-def _correlations(ps: list[list[int]], bc: list[int], n: int) -> array:
-    """Coefficients of the product P * B, one slot each.
-
-    P holds row u of ps at slot offset 2n*u; B holds bc[(n - e) mod n] in
-    slot e for e = 1..n. Then corr_u(D) = sum_v ps[u][v] * bc[v - D] is
-    coef[2nu + D] + coef[2nu + D + n]: the first term collects v < D, the
-    second v >= D. A coefficient is at most n * n^2, so it fits its slot
-    for every n <= ENUMERATION_CAP, and rows 2n slots apart never overlap.
-    """
-    p_slots = array(_SLOT_TYPECODE, bytes(_SLOT_BYTES * 2 * n * n))
-    for u, row in enumerate(ps):
-        p_slots[2 * n * u : 2 * n * u + n] = array(_SLOT_TYPECODE, row)
-    b_slots = array(_SLOT_TYPECODE, [0] + [bc[(n - e) % n] for e in range(1, n + 1)])
-    p_int = int.from_bytes(_little_endian(p_slots).tobytes(), "little")
-    b_int = int.from_bytes(_little_endian(b_slots).tobytes(), "little")
-    coef = array(_SLOT_TYPECODE)
-    coef.frombytes((p_int * b_int).to_bytes(_SLOT_BYTES * 2 * n * n, "little"))
-    return _little_endian(coef)
-
-
 def class_count_table(n: int) -> ClassCountTable:
     """Exact |C_r(n)| for every r, by enumeration.
 
-    The four entries are enumerated in two halves: the diagonal histogram
-    ps[u][v] of pairs (a, d) with a + d = u and ad = v, and the off-diagonal
-    histogram bc[w] of pairs (b, c) with bc = w. A matrix with trace u and
-    determinant D = v - w lands in C_r for r = D + 1 - u, so
-    |C_r(n)| = sum_u sum_{D unit, D + 1 - u = r} corr_u(D), where
-    corr_u(D) = sum_v ps[u][v] * bc[v - D]. All n correlations come from one
-    big-integer product (see _correlations). Every invertible matrix is
-    counted exactly once; no closed form enters.
+    With g = [[1 + x, b], [c, 1 + y]], r = xy - bc and det g = r + s + 1
+    for s = x + y. One pass over the pairs x <= y fills
+    ps[s][q] = #{(x, y) : x + y = s, xy = q}, and its column sums are
+    bc[w] = #{(b, c) : bc = w}. The sum of mu(d) over the squarefree d | n
+    that divide det g is 1 when det g is a unit and 0 otherwise, so
+    |C_r(n)| = sum_d mu(d) * sum_q rows_d[(-r - 1) mod d][q] * bc[q - r],
+    where rows_d[t] sums the rows ps[s] with s = t (mod d), and all indices
+    are mod n. Every invertible matrix is counted exactly once; no closed
+    form enters.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if n > ENUMERATION_CAP:
         raise EnumerationLimitError(f"enumeration capped at modulus {ENUMERATION_CAP}")
-    ps, bc = _histograms(n)
-    coef = _correlations(ps, bc, n)
-    units = [D for D in range(n) if gcd(D, n) == 1]
-    counts = [0] * n
-    for u in range(n):
-        row = 2 * n * u
-        for D in units:
-            counts[(D + 1 - u) % n] += coef[row + D] + coef[row + D + n]
+    ps = [[0] * n for _ in range(n)]
+    for x in range(n):
+        ps[2 * x % n][x * x % n] += 1
+        for y in range(x + 1, n):
+            ps[(x + y) % n][x * y % n] += 2
+    bc = [sum(col) for col in zip(*ps)]
+    mobius = [(1, 1)]
+    for ell in factorize(n):
+        mobius += [(d * ell, -mu) for d, mu in mobius]
+    sums = [(d, mu, [[sum(col) for col in zip(*ps[t::d])] for t in range(d)])
+            for d, mu in mobius]
+    counts = []
+    for r in range(n):
+        shifted = bc[n - r:] + bc[:n - r]
+        counts.append(sum(mu * sum(map(mul, rows[(-r - 1) % d], shifted))
+                          for d, mu, rows in sums))
     return ClassCountTable(n, sum(counts), tuple(counts))
 
 
