@@ -70,6 +70,7 @@ def test_enumeration_matches_histogram_loop(n):
 @pytest.mark.parametrize("n", [30, 49, 60, 61, 64])
 def test_enumeration_reads_no_closed_form(monkeypatch, n):
     # 30 and 60 have three prime factors, 49 is a prime square, 61 is prime
+    # and 64 is 2^6
     def closed_form(*args):
         raise AssertionError("enumeration read a closed form")
 
