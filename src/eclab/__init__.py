@@ -8,11 +8,9 @@ multiplicative-order statistics that govern how often each case occurs.
 
 from .arith import (
     carmichael_lambda,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
-    prime_factors,
 )
 from .census import (
     CensusResult,
@@ -47,7 +45,6 @@ from .curves import (
 from .gl2 import (
     ClassCountTable,
     EnumerationLimitError,
-    LiftCheck,
     RatioBounds,
     class_count_formula,
     class_count_table,
@@ -55,7 +52,6 @@ from .gl2 import (
     gl2_order,
     identity_lift_bound,
     identity_lift_count,
-    lifting_check,
     predicted_class_count,
     prime_class_counts,
     ratio_bounds_check,
@@ -68,12 +64,9 @@ from .primes import (
     segment_bounds,
 )
 from .pseudoprimes import (
-    NoCrtSolutionError,
     OrderLevelReport,
     OrderStats,
     classify,
-    count_by_order,
-    crt_residue,
     fermat_holds,
     multiplicative_order,
     nord_bound,
@@ -84,7 +77,6 @@ from .pseudoprimes import (
     product_tail_sum,
     pseudoprimes_below,
     tail_sum,
-    tail_sum_exact,
 )
 from .sieve import (
     SieveParams,
@@ -98,5 +90,4 @@ from .sieve import (
     linear_sieve_F,
     mertens_ratio,
     preset_params,
-    sieve_density,
 )

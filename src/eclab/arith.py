@@ -101,19 +101,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    return list(factorize(n))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():
@@ -123,13 +110,8 @@ def euler_phi(n: int) -> int:
 
 def carmichael_lambda(n: int) -> int:
     """Exponent of (Z/n)^*: lcm of the unit-group exponents at each prime power."""
-    return lambda_from_factors(factorize(n))
-
-
-def lambda_from_factors(factors: dict[int, int]) -> int:
-    """Carmichael's lambda of the integer with this {prime: exponent} map."""
     lam = 1
-    for p, e in factors.items():
+    for p, e in factorize(n).items():
         if p == 2:
             part = 1 if e == 1 else 2 if e == 2 else 2 ** (e - 2)
         else:

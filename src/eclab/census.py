@@ -25,7 +25,7 @@ from itertools import chain, islice
 from math import isqrt
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, prime_factors
+from .arith import factorize, is_prime
 from .curves import TraceRecord, WeierstrassCurve, trace_records
 from .gl2 import class_density
 from .primes import iter_prime_segments
@@ -34,8 +34,8 @@ from .pseudoprimes import (
     PRIME_BIT,
     PSEUDO_BIT,
     classify,
+    multiplicative_order,
     pomerance_scale,
-    prime_order,
 )
 
 # primes per census task: small enough that the workers finish together
@@ -313,7 +313,7 @@ def _classify_pseudoprime(n: int, x: int, base: int, L: float) -> frozenset:
         labels.add("s1")
     cube = L**3
     free_primes = [ell for ell in factorize(n) if base % ell != 0]
-    orders = {ell: prime_order(base, ell) for ell in free_primes}
+    orders = {ell: multiplicative_order(base, ell) for ell in free_primes}
     if any(orders[ell] <= L for ell in free_primes if ell > cube):
         labels.add("s2")
     if any(orders[ell] > L for ell in free_primes):
@@ -326,13 +326,15 @@ def _classify_pseudoprime(n: int, x: int, base: int, L: float) -> frozenset:
 def smooth_split(n: int, base: int) -> tuple[int, int]:
     """n = n' * n'' with n' supported on the primes of base, gcd(n'', base) = 1.
 
-    smooth_split(341, 2) = (1, 341); smooth_split(344, 2) = (8, 43).
+    smooth_split(341, 2) = (1, 341); smooth_split(344, 2) = (8, 43). The
+    primes of base are stripped by gcds, so base is never factored.
     """
     smooth = 1
-    for q in prime_factors(base):
-        while n % q == 0:
-            n //= q
-            smooth *= q
+    g = math.gcd(n, base)
+    while g > 1:
+        n //= g
+        smooth *= g
+        g = math.gcd(n, g)
     return smooth, n
 
 

@@ -155,39 +155,6 @@ def identity_lift_bound(ell: int, k: int) -> Fraction:
     return Fraction(ell ** (3 * (k - 1) + 1) * ell**3, ell**3 - 1)
 
 
-class LiftCheck(NamedTuple):
-    ell: int
-    k: int
-    r: int
-    enumerated: int
-    predicted: int | None  # lifting law, when r is a unit mod ell
-    identity_lifts: int | None  # lifts of I landing in C_r, when ell | r
-    identity_bound: Fraction | None
-    ok: bool
-
-
-def lifting_check(ell: int, k: int, r: int) -> LiftCheck:
-    """Compare enumerated |C_r(ell^k)| against the lifting law (unit r) or the
-    identity-lift ceiling (r divisible by ell). Exact arithmetic throughout.
-
-    The ceiling branch reports ok = False where the nominal bound fails
-    (possible for k >= 3, see identity_lift_bound); callers decide whether
-    that is fatal for their scope.
-    """
-    if not is_prime(ell) or k < 1:
-        raise ValueError("need a prime ell and k >= 1")
-    q = ell**k
-    if q > ENUMERATION_CAP:
-        raise EnumerationLimitError(f"lift check needs modulus {q} <= {ENUMERATION_CAP}")
-    enumerated = class_count_table(q).counts[r % q]
-    if r % ell != 0:
-        predicted = ell ** (3 * (k - 1)) * class_count_table(ell).counts[r % ell]
-        return LiftCheck(ell, k, r, enumerated, predicted, None, None, enumerated == predicted)
-    lifts = identity_lift_count(ell, k, r)
-    bound = identity_lift_bound(ell, k)
-    return LiftCheck(ell, k, r, enumerated, None, lifts, bound, lifts <= bound)
-
-
 class RatioBounds(NamedTuple):
     ell: int
     k: int

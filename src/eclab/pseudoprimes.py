@@ -11,17 +11,10 @@ from array import array
 from collections import Counter
 from itertools import compress, islice
 from operator import not_
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .arith import carmichael_lambda, factorize, is_prime, lambda_from_factors
+from .arith import carmichael_lambda, factorize, is_prime
 from .primes import primes_up_to
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-
-class NoCrtSolutionError(ValueError):
-    """The modulus and the order share a factor; the residue system is unsolvable."""
 
 
 # The verdict byte of a group order n: one bit per fact, each computed from
@@ -75,15 +68,6 @@ def multiplicative_order(b: int, d: int) -> int:
     return _order_dividing(b, d, lam, factorize(lam))
 
 
-def prime_order(b: int, ell: int) -> int:
-    """ord_ell(b) for a prime ell not dividing b.
-
-    lambda(ell) = ell - 1, so only ell - 1 is factored; ell itself is not
-    re-proved prime (the caller already knows it is).
-    """
-    return _order_dividing(b, ell, ell - 1, factorize(ell - 1))
-
-
 def _order_dividing(b: int, d: int, lam: int, primes: Iterable[int]) -> int:
     """Order of b mod d, given a multiple lam of it and the primes of lam."""
     m = lam
@@ -100,18 +84,6 @@ def _order_scan(b: int, d: int) -> int:
         acc = acc * b % d
         k += 1
     return k
-
-
-def crt_residue(b: int, d: int) -> int:
-    """The unique r in {1, ..., d*ord_d(b)} with r = 0 (mod d), r = 1 (mod ord_d(b)).
-
-    Solvable exactly when gcd(d, ord_d(b)) = 1.
-    """
-    o = multiplicative_order(b, d)
-    if math.gcd(d, o) != 1:
-        raise NoCrtSolutionError(f"gcd(d={d}, ord={o}) > 1")
-    r = d * pow(d, -1, o) % (d * o)
-    return r if r else d * o
 
 
 def smallest_prime_factors(limit: int) -> array:
@@ -136,16 +108,6 @@ def smallest_prime_factors(limit: int) -> array:
         start = p * p
         spf[start :: 2 * p] = array("H", [p]) * len(range(start, limit + 1, 2 * p))
     return spf
-
-
-def _factor_with(n: int, spf: array) -> dict[int, int]:
-    """{prime: exponent} of 1 <= n < len(spf), ascending, read off the table."""
-    out: dict[int, int] = {}
-    while n > 1:
-        q = spf[n] or n
-        out[q] = out.get(q, 0) + 1
-        n //= q
-    return out
 
 
 def iter_prime_orders(b: int, lo: float, hi: int) -> Iterator[tuple[int, int]]:
@@ -260,23 +222,6 @@ def pomerance_scale(x: float) -> float:
     return math.exp(lx * math.log(llx) / llx)
 
 
-def _iter_modulus_orders(b: int, t: int) -> Iterator[int]:
-    """ord_d(b) for every 2 <= d <= t coprime to b; d and lambda(d) are
-    factored from one SPF table up to t."""
-    if t < 2:
-        return
-    spf = smallest_prime_factors(t)
-    for d in range(2, t + 1):
-        if math.gcd(b, d) == 1:
-            lam = lambda_from_factors(_factor_with(d, spf))
-            yield _order_dividing(b, d, lam, _factor_with(lam, spf))
-
-
-def count_by_order(b: int, t: int, m: int) -> int:
-    """|{2 <= d <= t : gcd(d, b) = 1 and ord_d(b) = m}| by exact scan."""
-    return sum(1 for o in _iter_modulus_orders(b, t) if o == m)
-
-
 class OrderLevelReport(NamedTuple):
     """Counts of moduli d <= t at each order level, with the t/sqrt(L(t))
     comparison flagged (never fatal: the threshold where it must hold is
@@ -329,10 +274,3 @@ def _modulus_orders(b: int, t: int) -> array:
 def pseudoprimes_below(b: int, limit: int) -> list[int]:
     """Base-b Fermat pseudoprimes below limit, regenerated by direct scan."""
     return [n for n in range(2, limit) if classify(b, n) & PSEUDO_BIT]
-
-
-def tail_sum_exact(b: int, t: float, cap: int) -> Fraction:
-    """Exact rational tail sum, e.g. tail_sum_exact(2, 3, 7) = 1/6 + 1/20 + 1/21."""
-    from fractions import Fraction
-
-    return sum((Fraction(1, ell * m) for ell, m in iter_prime_orders(b, t, cap)), Fraction(0))

@@ -14,32 +14,17 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize
-from .gl2 import class_density, prime_class_counts
+from .gl2 import prime_class_counts
 from .primes import iter_prime_segments
 from .pseudoprimes import FERMAT_BIT, fermat_holds
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .census import CensusResult
 
 # Hard-coded to 18+ significant digits; a unit test recomputes gamma from an
 # Euler-Maclaurin series.
 EULER_GAMMA = 0.577215664901532861
 EXP_EULER_GAMMA = 1.78107241799019799
-
-
-def euler_gamma_series(terms: int = 100_000) -> float:
-    """Euler's constant from H_n - log n with Euler-Maclaurin correction."""
-    n = terms
-    h = math.fsum(1.0 / k for k in range(1, n + 1))
-    return h - math.log(n) - 1 / (2 * n) + 1 / (12 * n * n) - 1 / (120 * n**4)
-
-
-def sieve_density(ell: int, y: float = 1.0) -> Fraction:
-    """w_y(ell) = ell * |C_0(ell)| / |GL2(F_ell)| at a prime ell, zero below
-    the floor y. Raises ValueError unless ell is prime."""
-    return (ell if ell >= y else 0) * class_density(ell, 0)
 
 
 def density_product(y: float, z: float) -> float:

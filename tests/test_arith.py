@@ -4,16 +4,8 @@ import math
 import pytest
 
 import eclab.arith
-from eclab.arith import (
-    _TRIAL_PRIMES,
-    carmichael_lambda,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    prime_factors,
-)
-from eclab.pseudoprimes import _factor_with, smallest_prime_factors
+from eclab.arith import _TRIAL_PRIMES, carmichael_lambda, euler_phi, factorize, is_prime
+from eclab.pseudoprimes import smallest_prime_factors
 
 
 def trial_division_prime(n: int) -> bool:
@@ -68,10 +60,20 @@ def near_trial_squares() -> list[int]:
     return [m for p in _TRIAL_PRIMES for m in (p * p - 1, p * p, p * p + 1)]
 
 
+def factor_with(n: int, spf) -> dict[int, int]:
+    """{prime: exponent} of 1 <= n < len(spf), ascending, read off the table."""
+    out: dict[int, int] = {}
+    while n > 1:
+        q = spf[n] or n
+        out[q] = out.get(q, 0) + 1
+        n //= q
+    return out
+
+
 def test_factorize_matches_spf_table():
     spf = smallest_prime_factors(_TRIAL_PRIMES[-1] ** 2 + 1)
     for n in [*range(1, 200_000), *near_trial_squares()]:
-        assert list(factorize(n).items()) == list(_factor_with(n, spf).items()), n
+        assert list(factorize(n).items()) == list(factor_with(n, spf).items()), n
 
 
 def test_factorize_skips_primality_test_below_last_trial_square(monkeypatch):
@@ -109,20 +111,6 @@ def test_factorize_rejects_nonpositive():
             factorize(n)
 
 
-def test_prime_factors_sorted():
-    assert prime_factors(12) == [2, 3]
-    assert prime_factors(1) == []
-    assert prime_factors(30030) == [2, 3, 5, 7, 11, 13]
-
-
-def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
-    for n in range(1, 500):
-        expected = [d for d in range(1, n + 1) if n % d == 0]
-        assert divisors(n) == expected
-
-
 def test_euler_phi_matches_gcd_count():
     for n in range(1, 300):
         expected = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
@@ -136,7 +124,7 @@ def brute_lambda(n: int) -> int:
         return 1
     units = [a for a in range(1, n) if math.gcd(a, n) == 1]
     phi = len(units)
-    for m in sorted(divisors(phi)):
+    for m in (d for d in range(1, phi + 1) if phi % d == 0):
         if all(pow(a, m, n) == 1 for a in units):
             return m
     raise AssertionError(f"no exponent found for {n}")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -456,7 +457,12 @@ def test_decomposition_classifies_and_splits_each_distinct_order_once(monkeypatc
     assert decomp.counts["s4"] == 7 and decomp.s4_smooth_heavy == 2
 
 
-def test_smooth_split():
+# 10^25 + 7 has no prime factor below 1000 and lies beyond the witness set of
+# is_prime, so factoring the base 2 * BIG_COFACTOR raises ValueError
+BIG_COFACTOR = 10**25 + 7
+
+
+def test_smooth_split(monkeypatch):
     assert smooth_split(341, 2) == (1, 341)
     assert smooth_split(344, 2) == (8, 43)
     assert smooth_split(1, 2) == (1, 1)
@@ -464,6 +470,14 @@ def test_smooth_split():
     for n, base in ((341, 2), (344, 2), (720, 6)):
         s, c = smooth_split(n, base)
         assert s * c == n and math.gcd(c, base) == 1
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(census, "factorize", refuse)
+    rng = random.Random(5)
+    for n in [*range(1, 3000), *(rng.randrange(1, BIG_COFACTOR) for _ in range(300))]:
+        assert smooth_split(n, 2 * BIG_COFACTOR) == smooth_split(n, 2), n
 
 
 def census_1000():

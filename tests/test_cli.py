@@ -623,6 +623,19 @@ def test_out_of_range_exits_two_before_output(tmp_path, capsys, monkeypatch, arg
     assert not out.exists()
 
 
+def test_pomerance_with_a_base_beyond_the_primality_witnesses(tmp_path, capsys):
+    # 10^25 + 7 has no prime factor below 1000 and is too large for is_prime,
+    # so a decomposition that factored the base would raise after the census
+    out = tmp_path / "out"
+    code, stdout, _ = run(
+        capsys, "pomerance", "--base", str(2 * (10**25 + 7)), "--x", "2000",
+        "--threads", "1", "--out", str(out),
+    )
+    assert code == 0 and stdout.startswith("key,value")
+    assert (out / "records.csv").read_text().startswith(RECORDS_HEADER)
+    assert json.loads((out / "summary.json").read_text())["base_b"] == 2 * (10**25 + 7)
+
+
 def test_usage_errors(tmp_path, capsys):
     out = str(tmp_path)
     cases = [

@@ -14,7 +14,6 @@ from eclab.gl2 import (
     gl2_order,
     identity_lift_bound,
     identity_lift_count,
-    lifting_check,
     predicted_class_count,
     prime_class_counts,
     ratio_bounds_check,
@@ -138,10 +137,7 @@ def test_lifting_law_unit_residues(ell):
     for r in range(q):
         if r % ell == 0:
             continue
-        check = lifting_check(ell, 2, r)
-        assert check.ok
-        assert check.enumerated == lifted.counts[r]
-        assert check.predicted == ell**3 * base.counts[r % ell]
+        assert lifted.counts[r] == ell**3 * base.counts[r % ell]
 
 
 def test_identity_lift_count_and_bound():
@@ -168,23 +164,9 @@ def test_identity_lift_bound_fails_at_depth_three():
     bound = identity_lift_bound(3, 3)
     assert bound == Fraction(59049, 26)
     assert counts[0] > bound and counts[1] <= bound and counts[2] <= bound
-    check = lifting_check(3, 3, 0)
-    assert check.identity_lifts == 2673 and not check.ok
     # the slack form that the density inequalities rely on does hold
     relaxed = 3**6 * (1 + Fraction(3**4, 3**3 - 1))
     assert all(c <= relaxed for c in counts)
-
-
-def test_lifting_check_divisible_residue():
-    check = lifting_check(3, 2, 3)
-    assert check.predicted is None
-    assert check.identity_lifts == identity_lift_count(3, 2, 3)
-    assert check.identity_bound == identity_lift_bound(3, 2)
-    assert check.ok
-    with pytest.raises(EnumerationLimitError):
-        lifting_check(5, 3, 1)  # 125 > cap
-    with pytest.raises(ValueError):
-        lifting_check(4, 1, 0)
 
 
 def all_prime_power_cases():

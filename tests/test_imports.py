@@ -1,5 +1,7 @@
-"""Import rules between the modules of the eclab package, read from source."""
+"""Import rules between the modules of the eclab package, and what reaches
+each public name, read from source."""
 import ast
+import glob
 import os
 
 import pytest
@@ -7,7 +9,9 @@ import pytest
 PACKAGE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "eclab"
 )
+ROOT = os.path.dirname(os.path.dirname(PACKAGE))
 MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def parse(name):
@@ -58,11 +62,14 @@ def test_sieve_does_not_import_census_at_run_time():
     assert ("census", "CensusResult") in set(package_imports(parse("sieve.py").body))
 
 
+def parse_file(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
 def layer_calls():
     """LAYER_CALLS of the benchmark's traced run, read without importing it."""
-    path = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)), "perfbench", "traced_cli.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    tree = parse_file(os.path.join(ROOT, "perfbench", "traced_cli.py"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_CALLS"]:
             return ast.literal_eval(node.value)
@@ -78,3 +85,47 @@ def test_every_traced_layer_is_a_cli_callable():
     assert "order_level_report" in names and "run_census" in names
     missing = [name for name in names if not callable(getattr(eclab.cli, name, None))]
     assert missing == []
+
+
+def referenced(nodes):
+    """Every identifier a Name or an Attribute under nodes spells."""
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+
+def test_every_public_def_serves_a_command_the_benchmark_or_an_acceptance_check():
+    # Roots: the command line, every eclab name the benchmark imports or its
+    # traced run wraps, and the names the acceptance suite imports. A def or
+    # class reaches every top-level def or class its body names, matched by
+    # name alone, so the walk can only over-reach; the module-level statements
+    # run on import and reach what they name.
+    defs, on_import = {}, []
+    for name in MODULES:
+        for node in parse(name).body:
+            if isinstance(node, DEFS):
+                defs.setdefault(node.name, []).append(node)
+            else:
+                on_import.append(node)
+    sources = [
+        *glob.glob(os.path.join(ROOT, "perfbench", "*.py")),
+        os.path.join(ROOT, "tests", "test_acceptance.py"),
+    ]
+    todo = [
+        "main",  # cli.main
+        *(name for path in sources for _, name in package_imports([parse_file(path)])),
+        *(value.rpartition(".")[2] for value in layer_calls().values()),
+        *referenced(on_import),
+    ]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo.extend(referenced(defs[name]))
+    assert {"main", "run_census", "ratio_bounds_check", "_census_chunk"} <= reached
+    unreached = sorted(name for name in defs if not name.startswith("_") and name not in reached)
+    assert unreached == [], "reached by no root: " + ", ".join(unreached)

@@ -1,4 +1,4 @@
-"""Fermat classification, orders, CRT residues, and tail sums vs scan oracles."""
+"""Fermat classification, orders, and tail sums vs scan oracles."""
 import math
 import tracemalloc
 from collections import Counter
@@ -13,10 +13,7 @@ from eclab.pseudoprimes import (
     FERMAT_BIT,
     PRIME_BIT,
     PSEUDO_BIT,
-    NoCrtSolutionError,
     classify,
-    count_by_order,
-    crt_residue,
     fermat_holds,
     iter_prime_orders,
     multiplicative_order,
@@ -25,13 +22,16 @@ from eclab.pseudoprimes import (
     order_level_report,
     order_stats,
     pomerance_scale,
-    prime_order,
     product_tail_sum,
     pseudoprimes_below,
     smallest_prime_factors,
     tail_sum,
-    tail_sum_exact,
 )
+
+
+def tail_sum_exact(b: int, t: float, cap: int) -> Fraction:
+    """Exact rational tail sum, e.g. tail_sum_exact(2, 3, 7) = 1/6 + 1/20 + 1/21."""
+    return sum((Fraction(1, ell * m) for ell, m in iter_prime_orders(b, t, cap)), Fraction(0))
 
 
 def trial_division_prime(n: int) -> bool:
@@ -190,44 +190,6 @@ def test_multiplicative_order_requires_coprime():
         multiplicative_order(2, 0)
 
 
-def cr_scan(b: int, d: int) -> int:
-    # oracle fixed by the definition: smallest r > 0 with r = 0 (mod d)
-    # and r = 1 (mod ord_d(b))
-    o = order_by_scan(b, d)
-    for r in range(1, d * o + 1):
-        if r % d == 0 and r % o == 1 % o:
-            return r
-    raise AssertionError(f"no residue for ({b}, {d})")
-
-
-def test_crt_residue_examples():
-    assert crt_residue(2, 7) == 7
-    assert crt_residue(2, 5) == 5  # ord_5(2) = 4; need r = 0 mod 5, r = 1 mod 4
-    assert crt_residue(3, 13) == 13
-
-
-def test_crt_residue_matches_scan():
-    for b in (2, 3, 5):
-        for d in range(1, 150):
-            if math.gcd(b, d) != 1:
-                continue
-            o = order_by_scan(b, d)
-            if math.gcd(d, o) != 1:
-                with pytest.raises(NoCrtSolutionError):
-                    crt_residue(b, d)
-                continue
-            r = crt_residue(b, d)
-            assert r == cr_scan(b, d)
-            assert r % d == 0 and r % o == 1 % o
-            assert 0 < r <= d * o
-
-
-def test_crt_residue_no_solution():
-    # ord_8(3) = 2 shares a factor with 8
-    with pytest.raises(NoCrtSolutionError):
-        crt_residue(3, 8)
-
-
 def test_iter_prime_orders_skips_base_divisors():
     pairs = dict(iter_prime_orders(6, 2, 30))
     assert 2 not in pairs and 3 not in pairs
@@ -286,23 +248,17 @@ def test_pomerance_scale():
     assert grid == sorted(grid)
 
 
-def test_count_by_order_scan():
-    assert count_by_order(2, 10, 2) == 1  # only d = 3
-    assert count_by_order(2, 10, 1) == 0
-    matches = [
-        d
-        for d in range(2, 101)
-        if math.gcd(2, d) == 1 and order_by_scan(2, d) == 4
-    ]
-    assert matches == [5, 15]
-    assert count_by_order(2, 100, 4) == 2
-
-
 def test_order_level_report():
+    levels = order_level_report(2, 10).levels
+    assert levels.get(2) == 1  # only d = 3
+    assert levels.get(1, 0) == 0
     report = order_level_report(2, 100)
     assert report.t == 100 and report.base == 2
-    for m in (1, 2, 3, 4, 6):
-        assert report.levels.get(m, 0) == count_by_order(2, 100, m)
+    assert [d for d in range(3, 101, 2) if order_by_scan(2, d) == 4] == [5, 15]
+    assert report.levels[4] == 2
+    for m in (1, 2, 3, 6):
+        want = sum(1 for d in range(3, 101, 2) if order_by_scan(2, d) == m)
+        assert report.levels.get(m, 0) == want, m
     assert report.threshold == 100 / math.sqrt(pomerance_scale(100))
     for m, c in report.flagged.items():
         assert c > report.threshold
@@ -369,17 +325,15 @@ def test_iter_prime_orders_matches_scan_on_every_prime(b):
         if trial_division_prime(ell) and b % ell
     ]
     assert list(iter_prime_orders(b, 2, 5000)) == want
-    assert [(ell, prime_order(b, ell)) for ell, _ in want] == want
+    assert [(ell, multiplicative_order(b, ell)) for ell, _ in want] == want
 
 
 @pytest.mark.parametrize("b", [2, 3, 6, 10])
 def test_modulus_scans_match_per_modulus_orders(b):
     want = Counter(
-        multiplicative_order(b, d) for d in range(2, 3001) if math.gcd(b, d) == 1
+        order_by_scan(b, d) for d in range(2, 3001) if math.gcd(b, d) == 1
     )
     assert order_level_report(b, 3000).levels == dict(sorted(want.items()))
-    for m in (1, 2, 4, 12, 100, max(want)):
-        assert count_by_order(b, 3000, m) == want[m], m
 
 
 @pytest.mark.parametrize("b", [2, 3, 12, 30030])
@@ -447,7 +401,6 @@ def test_empty_ranges_build_no_table(monkeypatch):
     assert tail_sum_exact(2, 8, 7) == 0
     assert product_tail_sum(2, 1, 1) == 0.0
     assert order_census(2, 1) == {}
-    assert count_by_order(2, 1, 1) == 0
     assert order_level_report(2, 1).levels == {}
 
 

@@ -13,7 +13,7 @@ import eclab.sieve
 from eclab.census import CensusResult, run_census
 from eclab.cli import main
 from eclab.curves import TraceRecord, get_curve
-from eclab.gl2 import class_density
+from eclab.gl2 import class_density, prime_class_counts
 from eclab.primes import primes_up_to
 from eclab.pseudoprimes import FERMAT_BIT, PRIME_BIT, PSEUDO_BIT, fermat_holds
 from eclab.sieve import (
@@ -27,12 +27,17 @@ from eclab.sieve import (
     empirical_S,
     empirical_T,
     euler_constant_product,
-    euler_gamma_series,
     linear_sieve_F,
     mertens_ratio,
     preset_params,
-    sieve_density,
 )
+
+
+def euler_gamma_series(terms: int = 100_000) -> float:
+    """Euler's constant from H_n - log n with Euler-Maclaurin correction."""
+    n = terms
+    h = math.fsum(1.0 / k for k in range(1, n + 1))
+    return h - math.log(n) - 1 / (2 * n) + 1 / (12 * n * n) - 1 / (120 * n**4)
 
 
 def test_gamma_constants_recomputed():
@@ -40,28 +45,34 @@ def test_gamma_constants_recomputed():
     assert abs(math.exp(EULER_GAMMA) - EXP_EULER_GAMMA) < 1e-15
 
 
+# The sieve weight w(ell) = ell * |C_0(ell)| / |GL2(F_ell)| at a prime ell is
+# ell * class_density(ell, 0); density_product takes it as zero below y.
+
+
 def test_density_literals():
-    assert sieve_density(2) == Fraction(4, 3)
-    assert sieve_density(3) == Fraction(21, 16)
-    assert sieve_density(5) == Fraction(115, 96)
-    assert sieve_density(5, y=7) == Fraction(0)
+    assert 2 * class_density(2, 0) == Fraction(4, 3)
+    assert 3 * class_density(3, 0) == Fraction(21, 16)
+    assert 5 * class_density(5, 0) == Fraction(115, 96)
+    assert density_product(7, 6) == 1.0  # w_7(p) = 0 for every p < 6
     with pytest.raises(ValueError):
-        sieve_density(1)
+        class_density(1, 0)
     with pytest.raises(ValueError):
-        sieve_density(4)  # the weight is defined at primes only
+        class_density(4, 0)  # the weight is defined at primes only
 
 
 def test_density_condition_a0():
     # 0 < w(p)/p < 1 wherever the weight is supported
     for p in primes_up_to(1000):
-        w = sieve_density(p)
+        w = p * class_density(p, 0)
         assert 0 < w < p
 
 
 def test_weight_is_ell_times_class_density_at_zero():
-    # w(ell)/ell is the density of C_0(ell), the GL2 classes with ell | n(p)
+    # w(ell)/ell is the density of C_0(ell), the GL2 classes with ell | n(p),
+    # and density_product reads it from prime_class_counts
     for ell in primes_up_to(199):
-        assert sieve_density(ell) == ell * class_density(ell, 0)
+        c0, _, _, g = prime_class_counts(ell)
+        assert ell * class_density(ell, 0) == ell * Fraction(c0, g)
 
 
 def test_density_product_literals():
@@ -179,7 +190,7 @@ def test_per_prime_factor_identity():
     # (1 - 1/p) * C-factor(p) = 1 - w_1(p)/p, exactly
     for p in primes_up_to(1000):
         c_factor = 1 - Fraction(p * p - p - 1, (p - 1) ** 3 * (p + 1))
-        assert (1 - Fraction(1, p)) * c_factor == 1 - sieve_density(p) / p
+        assert (1 - Fraction(1, p)) * c_factor == 1 - class_density(p, 0)
 
 
 def test_mertens_ratio_near_one():

@@ -11,7 +11,7 @@ from sympy.ntheory import n_order  # noqa: E402
 
 import eclab.arith as arith  # noqa: E402
 from eclab.arith import carmichael_lambda, factorize  # noqa: E402
-from eclab.pseudoprimes import multiplicative_order, prime_order  # noqa: E402
+from eclab.pseudoprimes import multiplicative_order  # noqa: E402
 
 # Above any SPF table the order layer builds, several with two or more prime
 # factors past the trial-division bound (1000), so Pollard rho must split them.
@@ -58,4 +58,4 @@ def test_multiplicative_order_matches_sympy(b):
         if math.gcd(b, d) == 1:
             assert multiplicative_order(b, d) == n_order(b, d), d
     for ell in LARGE_PRIMES:
-        assert prime_order(b, ell) == n_order(b, ell), ell
+        assert multiplicative_order(b, ell) == n_order(b, ell), ell
