@@ -284,8 +284,6 @@ class PomeranceDecomposition(NamedTuple):
     perfect power x falls on the right side.
     """
 
-    x: int
-    base: int
     L: float
     counts: dict  # class name -> record count
     overlap: tuple  # 4x4 tuple-of-tuples over s1..s4, diagonal = class size
@@ -380,8 +378,6 @@ def decompose_pseudoprimes(result: CensusResult) -> PomeranceDecomposition:
                 if any(coprime % d == 0 for d in window):
                     s4_window += k
     return PomeranceDecomposition(
-        x=x,
-        base=base,
         L=L,
         counts={name: overlap[i][i] for i, name in enumerate(_CLASS_NAMES)},
         overlap=tuple(tuple(row) for row in overlap),

@@ -32,7 +32,6 @@ class EnumerationLimitError(ValueError):
 
 
 class ClassCountTable(NamedTuple):
-    modulus: int
     group_order: int  # sum of all class counts, i.e. |GL2(Z/n)|
     counts: tuple[int, ...]  # counts[r] = |C_r(n)|
 
@@ -90,7 +89,7 @@ def class_count_table(n: int) -> ClassCountTable:
         shifted = bc[n - r:] + bc[:n - r]
         counts.append(sum(mu * sum(map(mul, rows[(-r - 1) % d], shifted))
                           for d, mu, rows in sums))
-    return ClassCountTable(n, sum(counts), tuple(counts))
+    return ClassCountTable(sum(counts), tuple(counts))
 
 
 def class_count_formula(ell: int, r: int) -> int:

@@ -52,8 +52,8 @@ def classify(b: int, n: int, strict: bool = False) -> int:
 def multiplicative_order(b: int, d: int) -> int:
     """Order of b in (Z/d)^*.
 
-    Computed by stripping prime factors from the group exponent lambda(d);
-    if d resists factoring, falls back to an incremental power scan.
+    Computed by stripping prime factors from the group exponent lambda(d).
+    Raises ArithmeticError when d or lambda(d) resists factoring.
     """
     if d < 1:
         raise ValueError("modulus must be >= 1")
@@ -61,10 +61,7 @@ def multiplicative_order(b: int, d: int) -> int:
         raise ValueError(f"gcd({b}, {d}) != 1, order undefined")
     if d == 1:
         return 1
-    try:
-        lam = carmichael_lambda(d)
-    except ArithmeticError:
-        return _order_scan(b, d)
+    lam = carmichael_lambda(d)
     return _order_dividing(b, d, lam, factorize(lam))
 
 
@@ -75,15 +72,6 @@ def _order_dividing(b: int, d: int, lam: int, primes: Iterable[int]) -> int:
         while m % q == 0 and pow(b, m // q, d) == 1:
             m //= q
     return m
-
-
-def _order_scan(b: int, d: int) -> int:
-    acc = b % d
-    k = 1
-    while acc != 1:
-        acc = acc * b % d
-        k += 1
-    return k
 
 
 def smallest_prime_factors(limit: int) -> array:
@@ -227,8 +215,6 @@ class OrderLevelReport(NamedTuple):
     comparison flagged (never fatal: the threshold where it must hold is
     not effective at desk scale)."""
 
-    t: int
-    base: int
     threshold: float  # t / sqrt(L(t))
     levels: dict[int, int]  # m -> count
     flagged: dict[int, int]  # levels whose count exceeds the threshold
@@ -247,7 +233,7 @@ def order_level_report(b: int, t: int) -> OrderLevelReport:
     levels = _count_orders(filter(None, _modulus_orders(b, t))) if t >= 2 else {}
     threshold = t / math.sqrt(pomerance_scale(t))
     flagged = {m: c for m, c in levels.items() if c > threshold}
-    return OrderLevelReport(t, b, threshold, levels, flagged)
+    return OrderLevelReport(threshold, levels, flagged)
 
 
 def _modulus_orders(b: int, t: int) -> array:

@@ -61,9 +61,10 @@ def euler_constant_product(cap: int) -> float:
     return v
 
 
-def mertens_ratio(z: float, constant_cap: int = 100_000) -> float:
-    """V_1(z) * log z / (C * e^-gamma): tends to 1 as z grows."""
-    c = euler_constant_product(constant_cap)
+def mertens_ratio(z: float) -> float:
+    """V_1(z) * log z / (C * e^-gamma), with C's product taken over the
+    primes up to 10^5: tends to 1 as z grows."""
+    c = euler_constant_product(100_000)
     return density_product(1.0, z) * math.log(z) / (c / EXP_EULER_GAMMA)
 
 
@@ -84,18 +85,20 @@ def _iterated_logs(x: float, error: str) -> tuple[float, float, float]:
     return lx, llx, math.log(llx)
 
 
-def count_envelope(x: float, mode: str, eps: float = 0.0) -> float:
+def count_envelope(x: float, mode: str) -> float:
     """Headline upper-bound envelope for the Fermat-passing prime count.
 
-    mode 'unconditional': (48 e^gamma + eps) x logloglog x / (log x loglog x);
-    mode 'grh':           (28 e^gamma + eps) x loglog x / (log x)^2.
-    Requires x > e^e so the iterated logs are positive.
+    mode 'unconditional': 48 e^gamma x logloglog x / (log x loglog x);
+    mode 'grh':           28 e^gamma x loglog x / (log x)^2.
+    The paper's (48 + eps) and (28 + eps) are taken with eps = 0, as the
+    vacuousness flags assume. Requires x > e^e so the iterated logs are
+    positive.
     """
     lx, llx, lllx = _iterated_logs(x, "envelope needs x > e^e")
     if mode == "unconditional":
-        return (48 * EXP_EULER_GAMMA + eps) * x * lllx / (lx * llx)
+        return 48 * EXP_EULER_GAMMA * x * lllx / (lx * llx)
     if mode == "grh":
-        return (28 * EXP_EULER_GAMMA + eps) * x * llx / (lx * lx)
+        return 28 * EXP_EULER_GAMMA * x * llx / (lx * lx)
     raise ValueError(f"unknown envelope mode {mode!r}")
 
 
@@ -107,7 +110,6 @@ class SieveParams(NamedTuple):
     # the unconditional y < 1, which is recorded, not hidden.
     raw_y: float
     raw_z: float
-    preset: str | None = None
 
 
 def preset_params(x: float, mode: str) -> SieveParams:
@@ -124,7 +126,7 @@ def preset_params(x: float, mode: str) -> SieveParams:
     else:
         raise ValueError(f"unknown preset {mode!r}")
     floored = max(1.0, y)
-    return SieveParams(floored, max(floored, z), y, z, preset=mode)
+    return SieveParams(floored, max(floored, z), y, z)
 
 
 def _sifted_test(y: float, z: float):

@@ -119,15 +119,6 @@ def test_count_points_matches_exhaustive_oracle(label):
         assert naive_count(rc) == expected, (label, p)
 
 
-@pytest.mark.parametrize("label", LABELS)
-def test_fast_count_matches_naive_to_2000(label):
-    curve = get_curve(label)
-    for p in primes_up_to(2000):
-        rc = reduce_mod(curve, p)
-        if rc.good:
-            assert count_points(rc) == naive_count(rc), (label, p)
-
-
 def test_bsgs_matches_naive_below_and_above_cutoff():
     curve = get_curve("37a")
     sample = [p for p in primes_up_to(600) if p >= 5]

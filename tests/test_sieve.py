@@ -243,11 +243,13 @@ def test_count_envelope_values():
 
 
 def test_count_envelope_epsilon_and_domain():
-    for mode in ("unconditional", "grh"):
-        e0 = count_envelope(10**6, mode)
-        e1 = count_envelope(10**6, mode, eps=0.5)
-        e2 = count_envelope(10**6, mode, eps=1.0)
-        assert e0 < e1 < e2
+    # the paper's eps is taken as 0
+    x = 10**6
+    lx = math.log(x)
+    llx = math.log(lx)
+    lllx = math.log(llx)
+    assert count_envelope(x, "unconditional") == 48 * EXP_EULER_GAMMA * x * lllx / (lx * llx)
+    assert count_envelope(x, "grh") == 28 * EXP_EULER_GAMMA * x * llx / (lx * lx)
     with pytest.raises(ValueError):
         count_envelope(10, "grh")  # 10 < e^e
     with pytest.raises(ValueError):
@@ -256,7 +258,7 @@ def test_count_envelope_epsilon_and_domain():
 
 def test_preset_params():
     p = preset_params(10**5, "unconditional")
-    assert isinstance(p, SieveParams) and p.preset == "unconditional"
+    assert isinstance(p, SieveParams)
     assert p.raw_z < 1 < p.y  # degenerate at desk scale
     assert p.z == p.y  # clamped so the sifting range is empty, not inverted
     assert p.raw_y == p.y

@@ -41,3 +41,25 @@ def test_one_worker_runs_import_no_pool_logging_or_dataclasses():
     assert after_import == []
     assert after_one_worker == []
     assert after_two_workers == []
+
+
+MODULES_PROBE = """
+import importlib, json, sys
+importlib.import_module({module!r})
+print(json.dumps(sorted(m for m in sys.modules if m == "eclab" or m.startswith("eclab."))))
+"""
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    # the package binds no names, so `import eclab.<module>` runs no sibling
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = SRC
+    for module, loaded in (
+        ("eclab.primes", ["eclab", "eclab.primes"]),
+        ("eclab.curves", ["eclab", "eclab.arith", "eclab.curves", "eclab.primes"]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE.format(module=module)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(proc.stdout) == loaded, module
